@@ -9,7 +9,8 @@ is the classical shifted quadratic penalty
 whose own-block gradient is ``grad theta + grad g @ (u + rho*g(x))_+``.
 Stacking these gradients over the players gives a square, piecewise-smooth
 map ``F`` whose zeros are the stationary points of the penalized game; the
-Jacobian element used by the Newton-type subsolver is assembled here.
+Jacobian element used by the Newton-type subsolver is assembled here.  Where
+a function takes ``x | Evaluation``, it reads the evaluation when given one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GnepProblem, ProblemError
+from .model import Evaluation, GnepProblem, ProblemError
 
 __all__ = [
     "KinkRule",
@@ -31,7 +32,6 @@ __all__ = [
     "assemble_F",
     "generalized_jacobian",
     "shared_penalty_term",
-    "kink_components",
 ]
 
 
@@ -45,10 +45,6 @@ class KinkRule(Enum):
 # Keeps the Jacobian element closest to the smooth-interior one: no rank-one
 # term is added for constraints sitting exactly on the activity boundary.
 DEFAULT_KINK_RULE = KinkRule.TREAT_INACTIVE
-
-# Components within this scaled margin of the kink are flagged for
-# diagnostics only; branching always uses the exact sign.
-KINK_DIAG_TOL = 1e-12
 
 
 @dataclass
@@ -112,19 +108,22 @@ def al_value(problem: GnepProblem, nu: int, x: np.ndarray, state: PenaltyState) 
 
 
 def al_gradient_block(
-    problem: GnepProblem, nu: int, x: np.ndarray, state: PenaltyState
+    problem: GnepProblem, nu: int, x: np.ndarray | Evaluation, state: PenaltyState
 ) -> np.ndarray:
     """Own-block gradient of the augmented Lagrangian of player ``nu``."""
-    grad = problem.theta_grad(nu, x)
-    g = problem.g_val(nu, x)
+    ev = Evaluation.of(problem, x, state.shared)
+    grad = ev.theta_grad[nu]
+    g = ev.g[nu]
     if g.size == 0:
         return grad
     s = shifted_multiplier(g, state.u_of(nu), state.rho_of(nu))
     rows = problem.block_slice(nu)
-    return grad + problem.g_grad(nu, x)[rows, :] @ s
+    return grad + ev.g_grad[nu][rows, :] @ s
 
 
-def assemble_F(problem: GnepProblem, x: np.ndarray, state: PenaltyState) -> np.ndarray:
+def assemble_F(
+    problem: GnepProblem, x: np.ndarray | Evaluation, state: PenaltyState
+) -> np.ndarray:
     """Stacked augmented-Lagrangian gradients, one block per player.
 
     Defined only when every constraint is penalized; a game with kept
@@ -135,14 +134,15 @@ def assemble_F(problem: GnepProblem, x: np.ndarray, state: PenaltyState) -> np.n
             "assemble_F requires full penalization; fold kept constraints into "
             "the penalized group or supply a constrained subsolver"
         )
+    ev = Evaluation.of(problem, x, state.shared)
     return np.concatenate(
-        [al_gradient_block(problem, nu, x, state) for nu in range(problem.num_players)]
+        [al_gradient_block(problem, nu, ev, state) for nu in range(problem.num_players)]
     )
 
 
 def generalized_jacobian(
     problem: GnepProblem,
-    x: np.ndarray,
+    x: np.ndarray | Evaluation,
     state: PenaltyState,
     rule: KinkRule = DEFAULT_KINK_RULE,
 ) -> np.ndarray:
@@ -159,23 +159,24 @@ def generalized_jacobian(
     """
     if problem.p > 0:
         raise ProblemError("generalized_jacobian requires full penalization")
+    ev = Evaluation.of(problem, x, state.shared)
     n = problem.n
     V = np.empty((n, n))
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
-        V[rows, :] = problem.theta_hess(nu, x)
-        g = problem.g_val(nu, x)
+        V[rows, :] = problem.theta_hess(nu, ev.x)
+        g = ev.g[nu]
         if g.size == 0:
             continue
         rho = state.rho_of(nu)
         t = state.u_of(nu) + rho * g
         active = (t >= 0.0) if rule is KinkRule.TREAT_ACTIVE else (t > 0.0)
         if active.any():
-            G = problem.g_grad(nu, x)
+            G = ev.g_grad[nu]
             V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
         s = np.maximum(0.0, t)
         if s.any():
-            V[rows, :] += np.tensordot(s, problem.g_hess(nu, x), axes=1)
+            V[rows, :] += np.tensordot(s, problem.g_hess(nu, ev.x), axes=1)
     return V
 
 
@@ -194,12 +195,3 @@ def shared_penalty_term(problem: GnepProblem, x: np.ndarray, state: PenaltyState
     shifted = np.maximum(0.0, g + state.u_of(0) / rho)
     return 0.5 * rho * float(shifted @ shifted)
 
-
-def kink_components(
-    problem: GnepProblem, nu: int, x: np.ndarray, state: PenaltyState
-) -> np.ndarray:
-    """Indices whose penalty shift sits within the kink margin (diagnostic only)."""
-    g = problem.g_val(nu, x)
-    u = state.u_of(nu)
-    t = u + state.rho_of(nu) * g
-    return np.flatnonzero(np.abs(t) <= KINK_DIAG_TOL * (1.0 + np.abs(u)))

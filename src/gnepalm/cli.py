@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,6 +48,10 @@ _TABLE_HEADER = ("example", "N", "n", "x0", "k", "i_total", "R_f", "R_o", "R_c",
 
 class UsageError(ValueError):
     """Bad command line, config file, or start vector."""
+
+
+# Failures of one run that are reported as exit code 1 instead of a traceback.
+_RUN_ERRORS = (UsageError, PluginError, ProblemError, ConfigError, EvaluationError, OSError)
 
 
 @dataclass
@@ -269,24 +272,25 @@ def run(cfg: RunConfig) -> int:
 
 
 def _run_batch(directory: str) -> int:
+    """Run every config in turn; one status line each, the worst exit code overall."""
     folder = Path(directory)
     configs = sorted(folder.glob("*.cfg"))
     if not configs:
         raise UsageError(f"no .cfg files found in {folder}")
-    jobs = []
+    worst = 0
     for path in configs:
-        raw = load_run_config(path)
-        raw.setdefault("report", str(path.with_suffix(".report.txt")))
-        raw.setdefault("trace", str(path.with_suffix(".trace.jsonl")))
-        jobs.append((path, make_run_config(raw)))
-    codes = {}
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        futures = {pool.submit(run, cfg): path for path, cfg in jobs}
-        for future, path in futures.items():
-            codes[path] = future.result()
-    for path in configs:
-        sys.stdout.write(f"{path.name}: exit {codes[path]}\n")
-    return max(codes.values())
+        try:
+            raw = load_run_config(path)
+            raw.setdefault("report", str(path.with_suffix(".report.txt")))
+            raw.setdefault("trace", str(path.with_suffix(".trace.jsonl")))
+            code = run(make_run_config(raw))
+        except _RUN_ERRORS as exc:
+            code = EXIT_USAGE
+            sys.stdout.write(f"{path.name}: error: {exc}\n")
+        else:
+            sys.stdout.write(f"{path.name}: exit {code}\n")
+        worst = max(worst, code)
+    return worst
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         raw.update({k: str(v) for k, v in overrides.items()})
         cfg = make_run_config(raw)
         return run(cfg)
-    except (UsageError, PluginError, ProblemError, ConfigError, EvaluationError) as exc:
+    except _RUN_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -9,6 +9,9 @@ Three executable checks:
   when feasibility cannot be reached);
 * a player-wise extended Mangasarian-Fromovitz test, decided through
   positive linear independence of the active own-block gradients.
+
+Each check takes ``x`` or its :class:`Evaluation`; :func:`diagnose` runs
+them all on one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import GnepProblem, MultiplierSet
+from .model import Evaluation, GnepProblem, MultiplierSet
 from .outer import nnls
 
 __all__ = [
@@ -44,8 +47,13 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def _constraints(ev: Evaluation, nu: int) -> np.ndarray:
+    # All constraints of player nu: penalized group first, kept group after.
+    return np.concatenate([ev.g[nu], ev.h[nu]])
+
+
 def kkt_residual(
-    problem: GnepProblem, x: np.ndarray, multipliers: MultiplierSet
+    problem: GnepProblem, x: np.ndarray | Evaluation, multipliers: MultiplierSet
 ) -> list[tuple[float, float]]:
     """Per-player ``(stationarity, complementarity)`` residuals in max norm.
 
@@ -53,7 +61,7 @@ def kkt_residual(
     player's own block; complementarity is ``||min(-c, (lam, mu))||`` over
     all of the player's constraints.
     """
-    x = problem.point(x)
+    ev = Evaluation.of(problem, x)
     multipliers.check_shapes(problem)
     out = []
     for nu in range(problem.num_players):
@@ -61,11 +69,11 @@ def kkt_residual(
         lam = np.asarray(multipliers.lam[nu], dtype=float)
         mu = np.asarray(multipliers.mu[nu], dtype=float)
         stat = (
-            problem.theta_grad(nu, x)
-            + problem.g_grad(nu, x)[rows, :] @ lam
-            + problem.h_grad(nu, x)[rows, :] @ mu
+            ev.theta_grad[nu]
+            + ev.g_grad[nu][rows, :] @ lam
+            + ev.h_grad[nu][rows, :] @ mu
         )
-        c = problem.c_val(nu, x)
+        c = _constraints(ev, nu)
         w = np.concatenate([lam, mu])
         comp = _inf_norm(np.minimum(-c, w)) if c.size else 0.0
         out.append((_inf_norm(stat), comp))
@@ -74,7 +82,7 @@ def kkt_residual(
 
 def feasibility_gnep_residual(
     problem: GnepProblem,
-    x: np.ndarray,
+    x: np.ndarray | Evaluation,
     mu_hat: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-player KKT residual of the constraint-violation game.
@@ -84,13 +92,13 @@ def feasibility_gnep_residual(
     complementarity of ``mu_hat`` (pass nothing when every constraint is
     penalized).
     """
-    x = problem.point(x)
+    ev = Evaluation.of(problem, x)
     out = np.empty(problem.num_players)
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
-        gplus = np.maximum(problem.g_val(nu, x), 0.0)
-        grad = 2.0 * (problem.g_grad(nu, x)[rows, :] @ gplus)
-        h = problem.h_val(nu, x)
+        gplus = np.maximum(ev.g[nu], 0.0)
+        grad = 2.0 * (ev.g_grad[nu][rows, :] @ gplus)
+        h = ev.h[nu]
         mu = (
             np.zeros(h.size)
             if mu_hat is None
@@ -99,7 +107,7 @@ def feasibility_gnep_residual(
         if mu.shape != (h.size,):
             raise ValueError(f"player {nu}: mu_hat has wrong length")
         if h.size:
-            grad = grad + problem.h_grad(nu, x)[rows, :] @ mu
+            grad = grad + ev.h_grad[nu][rows, :] @ mu
             comp = _inf_norm(np.minimum(-h, mu))
         else:
             comp = 0.0
@@ -170,7 +178,7 @@ class EmfcqVerdict:
 
 
 def emfcq_check(
-    problem: GnepProblem, nu: int, x: np.ndarray, tol: float = 1e-8
+    problem: GnepProblem, nu: int, x: np.ndarray | Evaluation, tol: float = 1e-8
 ) -> EmfcqVerdict:
     """Extended MFCQ for player ``nu`` at ``x``.
 
@@ -178,14 +186,14 @@ def emfcq_check(
     check stable near boundaries).  With no active constraints the condition
     holds vacuously with the zero direction.
     """
-    x = problem.point(x)
+    ev = Evaluation.of(problem, x)
     rows = problem.block_slice(nu)
-    c = problem.c_val(nu, x)
+    c = _constraints(ev, nu)
     active = np.flatnonzero(c >= -tol)
     dim = problem.players[nu].dim
     if active.size == 0:
         return EmfcqVerdict(EmfcqStatus.HOLDS, direction=np.zeros(dim), active=active)
-    V = problem.c_grad(nu, x)[rows, :][:, active]
+    V = np.hstack([ev.g_grad[nu], ev.h_grad[nu]])[rows, :][:, active]
     pli = positive_linear_independence(V, tol)
     if not pli.independent:
         return EmfcqVerdict(EmfcqStatus.FAILS, weights=pli.weights, active=active)
@@ -206,21 +214,27 @@ class PointClass(Enum):
 
 def classify_point(
     problem: GnepProblem,
-    x: np.ndarray,
+    x: np.ndarray | Evaluation,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
     eps_feas: float = 1e-6,
 ) -> PointClass:
     """Classify ``x`` as a KKT point, a stationary infeasible point, or neither."""
-    x = problem.point(x)
-    pairs = kkt_residual(problem, x, multipliers)
-    worst_kkt = max(max(p) for p in pairs)
+    ev = Evaluation.of(problem, x)
+    kkt = kkt_residual(problem, ev, multipliers)
+    return _classify(ev, kkt, feasibility_gnep_residual(problem, ev), eps, eps_feas)
+
+
+def _classify(
+    ev: Evaluation, kkt: list, feasibility_gnep: np.ndarray, eps: float, eps_feas: float
+) -> PointClass:
+    worst_kkt = max(max(p) for p in kkt)
     viol = 0.0
-    for nu in range(problem.num_players):
-        viol = max(viol, _inf_norm(np.maximum(problem.c_val(nu, x), 0.0)))
+    for nu in range(len(ev.slot)):
+        viol = max(viol, _inf_norm(np.maximum(_constraints(ev, nu), 0.0)))
     if worst_kkt <= eps and viol <= eps:
         return PointClass.FEASIBLE_KKT
-    if viol > eps and float(np.max(feasibility_gnep_residual(problem, x))) <= eps_feas:
+    if viol > eps and float(np.max(feasibility_gnep)) <= eps_feas:
         return PointClass.INFEASIBLE_STATIONARY
     return PointClass.NEITHER
 
@@ -263,15 +277,18 @@ def diagnose(
     eps_feas: float = 1e-6,
     active_tol: float = 1e-8,
 ) -> DiagnosticsVerdict:
-    """Run every check at ``x`` and collect the verdicts."""
+    """Run every check once at ``x`` and collect the verdicts."""
+    ev = Evaluation(problem, x)
+    kkt = kkt_residual(problem, ev, multipliers)
+    feasibility_gnep = feasibility_gnep_residual(problem, ev)
     return DiagnosticsVerdict(
-        kkt=kkt_residual(problem, x, multipliers),
-        feasibility_gnep=feasibility_gnep_residual(problem, x),
+        kkt=kkt,
+        feasibility_gnep=feasibility_gnep,
         emfcq=[
-            emfcq_check(problem, nu, x, active_tol)
+            emfcq_check(problem, nu, ev, active_tol)
             for nu in range(problem.num_players)
         ],
-        classification=classify_point(problem, x, multipliers, eps, eps_feas),
+        classification=_classify(ev, kkt, feasibility_gnep, eps, eps_feas),
         eps=eps,
         eps_feas=eps_feas,
         active_tol=active_tol,

@@ -4,13 +4,15 @@ A game is a list of :class:`PlayerSpec` objects.  Player ``nu`` controls a
 contiguous block of the joint vector ``x`` and owns a scalar objective plus
 two optional groups of inequality constraints: ``g`` (the group a solver is
 allowed to penalize) and ``h`` (the group that must be kept explicitly).
-All callbacks receive the full joint vector and return plain arrays; shapes
-are checked on every evaluation.
+All callbacks receive the full joint vector and return plain arrays whose
+shapes and finiteness are checked; an :class:`Evaluation` keeps the checked
+first-order data of one point for every consumer of that point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +24,8 @@ __all__ = [
     "ConstraintBundle",
     "PlayerSpec",
     "GnepProblem",
+    "Evaluation",
+    "evaluator",
     "MultiplierSet",
     "ValidationEntry",
     "ValidationReport",
@@ -217,18 +221,23 @@ class GnepProblem:
     def theta_hess(self, nu: int, x: np.ndarray) -> np.ndarray:
         """Row block of the second derivative of the objective, shape (dim, n)."""
         self._check_player(nu)
-        x = self.point(x)
         spec = self.players[nu]
-        if spec.objective.hess is not None:
-            return self._checked(
-                spec.objective.hess(x), (spec.dim, self.n), nu, "theta.hess"
-            )
-        base = self.theta_grad(nu, x)
-        out = np.empty((spec.dim, self.n))
+        return self._hess(
+            nu, x, spec.objective.hess, (spec.dim, self.n), "theta.hess", self.theta_grad
+        )
+
+    def _hess(self, nu: int, x, hess, shape: tuple, label: str, grad) -> np.ndarray:
+        # The callback ``hess`` when given, else forward differences of the
+        # own-block first derivative ``grad(nu, x)`` along every coordinate.
+        x = self.point(x)
+        if hess is not None:
+            return self._checked(hess(x), shape, nu, label)
+        base = grad(nu, x)
+        out = np.empty(shape)
         for j in range(self.n):
             xp = x.copy()
             xp[j] += FD_HESS_STEP
-            out[:, j] = (self.theta_grad(nu, xp) - base) / FD_HESS_STEP
+            out[..., j] = (grad(nu, xp) - base) / FD_HESS_STEP
         return out
 
     def _group(self, nu: int, which: str) -> ConstraintBundle | None:
@@ -250,27 +259,6 @@ class GnepProblem:
             return np.zeros((self.n, 0))
         return self._checked(bundle.grad(x), (self.n, bundle.count), nu, f"{which}.grad")
 
-    def _cons_hess(self, nu: int, x: np.ndarray, which: str) -> np.ndarray:
-        self._check_player(nu)
-        x = self.point(x)
-        spec = self.players[nu]
-        bundle = self._group(nu, which)
-        if bundle is None or bundle.count == 0:
-            return np.zeros((0, spec.dim, self.n))
-        if bundle.hess is not None:
-            return self._checked(
-                bundle.hess(x), (bundle.count, spec.dim, self.n), nu, f"{which}.hess"
-            )
-        rows = self.block_slice(nu)
-        base = self._cons_grad(nu, x, which)[rows, :]
-        out = np.empty((bundle.count, spec.dim, self.n))
-        for j in range(self.n):
-            xp = x.copy()
-            xp[j] += FD_HESS_STEP
-            diff = (self._cons_grad(nu, xp, which)[rows, :] - base) / FD_HESS_STEP
-            out[:, :, j] = diff.T
-        return out
-
     def g_val(self, nu: int, x: np.ndarray) -> np.ndarray:
         return self._cons_val(nu, x, "g")
 
@@ -278,7 +266,16 @@ class GnepProblem:
         return self._cons_grad(nu, x, "g")
 
     def g_hess(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_hess(nu, x, "g")
+        """Stacked per-constraint row blocks, shape (count, dim, n)."""
+        self._check_player(nu)
+        spec = self.players[nu]
+        if spec.g_count == 0:
+            return np.zeros((0, spec.dim, self.n))
+        rows = self.block_slice(nu)
+        return self._hess(
+            nu, x, spec.g.hess, (spec.g.count, spec.dim, self.n), "g.hess",
+            lambda nu, z: self._cons_grad(nu, z, "g")[rows, :].T,
+        )
 
     def h_val(self, nu: int, x: np.ndarray) -> np.ndarray:
         return self._cons_val(nu, x, "h")
@@ -286,15 +283,69 @@ class GnepProblem:
     def h_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
         return self._cons_grad(nu, x, "h")
 
-    def h_hess(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_hess(nu, x, "h")
-
     def c_val(self, nu: int, x: np.ndarray) -> np.ndarray:
         """All constraints of player ``nu``: penalized group first, kept group after."""
         return np.concatenate([self.g_val(nu, x), self.h_val(nu, x)])
 
     def c_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
         return np.hstack([self.g_grad(nu, x), self.h_grad(nu, x)])
+
+
+class Evaluation:
+    """Checked first-order data of a game at one point ``x``; read-only.
+
+    Player ``nu`` reads the constraints of slot ``slot[nu]``: ``0`` for
+    everyone when ``shared`` (the variational method) is asked of a game
+    with shared constraints, ``nu`` otherwise.
+    Slot ``s`` is evaluated once, through player ``s``; the per-player lists
+    ``g``, ``g_grad``, ``h`` and ``h_grad`` repeat each slot's arrays, and
+    ``h`` is evaluated on first use.  Second derivatives are not stored.
+    """
+
+    def __init__(self, problem: GnepProblem, x: np.ndarray, shared: bool = False) -> None:
+        self.problem = problem
+        self.x = problem.point(x)
+        self.key = self.x.tobytes()
+        players = range(problem.num_players)
+        shared = shared and problem.shared_constraints
+        self.slot = tuple(0 if shared else nu for nu in players)
+        self.theta_grad = [problem.theta_grad(nu, self.x) for nu in players]
+        self.g = self.by_slot(problem.g_val)
+        self.g_grad = self.by_slot(problem.g_grad)
+
+    @classmethod
+    def of(cls, problem: GnepProblem, x, shared: bool = False) -> "Evaluation":
+        """``x`` itself when it already is an Evaluation, else a new one at ``x``."""
+        return x if isinstance(x, cls) else cls(problem, x, shared)
+
+    def by_slot(self, evaluate) -> list:
+        """``evaluate(s, x)`` once per slot ``s``, repeated for each player of the slot."""
+        out: list = []
+        for nu, s in enumerate(self.slot):
+            out.append(evaluate(nu, self.x) if s == nu else out[s])
+        return out
+
+    @cached_property
+    def h(self) -> list[np.ndarray]:
+        return self.by_slot(self.problem.h_val)
+
+    @cached_property
+    def h_grad(self) -> list[np.ndarray]:
+        return self.by_slot(self.problem.h_grad)
+
+
+def evaluator(problem: GnepProblem, shared: bool = False) -> Callable[[np.ndarray], Evaluation]:
+    """``at(x)``: the :class:`Evaluation` at ``x``, reused while ``x`` repeats bit for bit."""
+    last: Evaluation | None = None
+
+    def at(x: np.ndarray) -> Evaluation:
+        nonlocal last
+        x = problem.point(x)
+        if last is None or last.key != x.tobytes():
+            last = Evaluation(problem, x, shared)
+        return last
+
+    return at
 
 
 @dataclass

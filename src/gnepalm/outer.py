@@ -37,10 +37,12 @@ from .alcore import (
 )
 from .model import (
     ConstraintBundle,
+    Evaluation,
     GnepProblem,
     MultiplierSet,
     PlayerSpec,
     ProblemError,
+    evaluator,
 )
 from .subsolver import LmConfig, LmResult, LmStatus, SemismoothSystem, lm_solve
 
@@ -211,53 +213,38 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sol
 
 
-def initial_multipliers(problem: GnepProblem, x0: np.ndarray) -> MultiplierSet:
+def initial_multipliers(problem: GnepProblem, x0: np.ndarray | Evaluation) -> MultiplierSet:
     """Least-squares multiplier start.
 
     Components with ``g_i(x0) < 0`` start at zero; over the remaining ones
-    each player's stationarity system is fit in a nonnegative least-squares
-    sense.  Kept-group multipliers start at zero.
+    the stacked stationarity system of the players in each constraint slot
+    of the :class:`Evaluation` is fit in a nonnegative least-squares sense.
+    Kept-group multipliers start at zero.
     """
-    x0 = problem.point(x0)
-    lam = []
-    for nu in range(problem.num_players):
-        g = problem.g_val(nu, x0)
-        lam_nu = np.zeros(g.size)
-        active = g >= 0.0
+    ev = Evaluation.of(problem, x0)
+
+    def fit(s: int, _x) -> np.ndarray:
+        members = [nu for nu, t in enumerate(ev.slot) if t == s]
+        lam = np.zeros(ev.g[s].size)
+        active = ev.g[s] >= 0.0
         if active.any():
-            rows = problem.block_slice(nu)
-            A = problem.g_grad(nu, x0)[rows, :][:, active]
-            lam_nu[active] = nnls(A, -problem.theta_grad(nu, x0))
-        lam.append(lam_nu)
+            A = np.vstack([ev.g_grad[s][problem.block_slice(nu), :] for nu in members])
+            b = -np.concatenate([ev.theta_grad[nu] for nu in members])
+            lam[active] = nnls(A[:, active], b)
+        return lam
+
     mu = [np.zeros(spec.h_count) for spec in problem.players]
-    return MultiplierSet(lam=lam, mu=mu)
-
-
-def _initial_multipliers_shared(problem: GnepProblem, x0: np.ndarray) -> np.ndarray:
-    # Single shared vector: fit the stacked stationarity system of all
-    # players at once, again only over the components active at x0.
-    x0 = problem.point(x0)
-    g = problem.g_val(0, x0)
-    lam = np.zeros(g.size)
-    active = g >= 0.0
-    if active.any():
-        A = problem.g_grad(0, x0)[:, active]
-        b = -np.concatenate(
-            [problem.theta_grad(nu, x0) for nu in range(problem.num_players)]
-        )
-        lam[active] = nnls(A, b)
-    return lam
+    return MultiplierSet(lam=ev.by_slot(fit), mu=mu)
 
 
 def update_multipliers(
-    problem: GnepProblem, x_next: np.ndarray, state: PenaltyState
+    problem: GnepProblem, x_next: np.ndarray | Evaluation, state: PenaltyState
 ) -> list[np.ndarray]:
-    """Shifted-multiplier update; a single entry when the state is shared."""
-    if state.shared:
-        return [shifted_multiplier(problem.g_val(0, x_next), state.u[0], state.rho[0])]
+    """Shifted-multiplier update, one entry per ``(u, rho)`` pair of the state."""
+    ev = Evaluation.of(problem, x_next, state.shared)
     return [
-        shifted_multiplier(problem.g_val(nu, x_next), state.u[nu], state.rho[nu])
-        for nu in range(problem.num_players)
+        shifted_multiplier(ev.g[s], u, rho)
+        for s, (u, rho) in enumerate(zip(state.u, state.rho))
     ]
 
 
@@ -282,18 +269,18 @@ def update_safeguard(lam: Sequence[np.ndarray], u_max: float) -> list[np.ndarray
 
 
 def stopping_residuals(
-    problem: GnepProblem, x: np.ndarray, lam: Sequence[np.ndarray]
+    problem: GnepProblem, x: np.ndarray | Evaluation, lam: Sequence[np.ndarray]
 ) -> tuple[float, float, float]:
     """Max-norm (feasibility, stationarity, complementarity) residual triple."""
     if problem.p > 0:
         raise ProblemError("stopping residuals are defined for fully penalized games")
-    x = problem.point(x)
+    ev = Evaluation.of(problem, x)
     r_f = r_o = r_c = 0.0
     for nu in range(problem.num_players):
-        g = problem.g_val(nu, x)
+        g = ev.g[nu]
         l = np.asarray(lam[nu], dtype=float)
         rows = problem.block_slice(nu)
-        stat = problem.theta_grad(nu, x) + problem.g_grad(nu, x)[rows, :] @ l
+        stat = ev.theta_grad[nu] + ev.g_grad[nu][rows, :] @ l
         r_o = max(r_o, float(np.abs(stat).max()) if stat.size else 0.0)
         if g.size:
             r_f = max(r_f, float(np.maximum(g, 0.0).max()))
@@ -387,59 +374,41 @@ def _resolve_tau_gamma(problem: GnepProblem, cfg: OuterConfig, shared: bool):
     return tau, gamma
 
 
-def _vmeasure(
-    problem: GnepProblem, x: np.ndarray, lam: Sequence[np.ndarray], shared: bool
-) -> np.ndarray:
-    if shared:
-        g = problem.g_val(0, x)
-        return np.array([float(np.linalg.norm(np.minimum(-g, lam[0])))])
-    out = np.empty(problem.num_players)
-    for nu in range(problem.num_players):
-        g = problem.g_val(nu, x)
-        out[nu] = float(np.linalg.norm(np.minimum(-g, lam[nu])))
-    return out
-
-
-def _expand(lam: list[np.ndarray], num_players: int, shared: bool) -> list[np.ndarray]:
-    return [lam[0]] * num_players if shared else lam
+def _vmeasure(ev: Evaluation, lam: Sequence[np.ndarray]) -> np.ndarray:
+    # One complementarity measure per constraint slot.
+    return np.array(
+        [float(np.linalg.norm(np.minimum(-ev.g[s], l))) for s, l in enumerate(lam)]
+    )
 
 
 def _report_multipliers(
-    lam: list[np.ndarray],
-    original: GnepProblem,
-    shared: bool,
+    lam: list[np.ndarray], original: GnepProblem, slot: Sequence[int]
 ) -> MultiplierSet:
-    # Split each merged vector back into the original (penalized, kept)
-    # groups; in shared mode all players alias the same arrays.
-    if shared:
-        m0 = original.players[0].g_count
-        lam_g = lam[0][:m0]
-        mu_h = lam[0][m0:]
-        n_players = original.num_players
-        return MultiplierSet(lam=[lam_g] * n_players, mu=[mu_h] * n_players)
-    lam_g = []
-    mu_h = []
-    for nu, spec in enumerate(original.players):
-        lam_g.append(lam[nu][: spec.g_count])
-        mu_h.append(lam[nu][spec.g_count:])
-    return MultiplierSet(lam=lam_g, mu=mu_h)
+    # Split each slot's merged vector back into the original (penalized,
+    # kept) groups; players sharing a slot alias the same arrays.
+    split = [(l[: original.players[s].g_count], l[original.players[s].g_count:])
+             for s, l in enumerate(lam)]
+    return MultiplierSet(lam=[split[s][0] for s in slot], mu=[split[s][1] for s in slot])
 
 
-def _default_subsolver(cfg: OuterConfig):
+def _default_subsolver(cfg: OuterConfig, at=None):
+    """Damped Newton-type subsolver; ``at`` is the solve's :func:`evaluator`."""
+
     def run(problem: GnepProblem, state: PenaltyState, x_start: np.ndarray, tol: float) -> LmResult:
+        point = at or evaluator(problem, state.shared)
         system = SemismoothSystem(
-            residual=lambda x: assemble_F(problem, x, state),
-            jacobian=lambda x: generalized_jacobian(problem, x, state, cfg.kink_rule),
+            residual=lambda x: assemble_F(problem, point(x), state),
+            jacobian=lambda x: generalized_jacobian(problem, point(x), state, cfg.kink_rule),
         )
         return lm_solve(system, x_start, replace(cfg.lm, eps=tol))
 
     return run
 
 
-def _feasibility_residual_max(problem: GnepProblem, x: np.ndarray) -> float:
+def _feasibility_residual_max(problem: GnepProblem, ev: Evaluation) -> float:
     from .diagnostics import feasibility_gnep_residual
 
-    return float(np.max(feasibility_gnep_residual(problem, x)))
+    return float(np.max(feasibility_gnep_residual(problem, ev)))
 
 
 def _rho_stalled(trace: list[IterationRecord], state: PenaltyState, cfg: OuterConfig) -> bool:
@@ -464,24 +433,23 @@ def _run(
     original = problem
     work = fully_penalized(problem)
     tau, gamma = _resolve_tau_gamma(work, cfg, shared)
+    at = evaluator(work, shared)
     x = work.point(x0).copy()
-
-    if shared:
-        lam = [_initial_multipliers_shared(work, x)]
-        rho = np.array([cfg.rho0])
-    else:
-        lam = initial_multipliers(work, x).lam
-        rho = np.full(work.num_players, cfg.rho0)
+    ev = at(x)
+    slot = ev.slot
+    # One multiplier vector per constraint slot; slot s is player s's.
+    lam = initial_multipliers(work, ev).lam[: max(slot) + 1]
+    rho = np.full(len(lam), cfg.rho0)
     u = update_safeguard(lam, cfg.u_max)
     state = PenaltyState(u=u, rho=list(rho), u_max=cfg.u_max, shared=shared)
-    vmeas_old = _vmeasure(work, x, lam, shared)
+    vmeas_old = _vmeasure(ev, lam)
 
     if subsolver is None:
-        subsolver = _default_subsolver(cfg)
+        subsolver = _default_subsolver(cfg, at)
 
     trace: list[IterationRecord] = []
     i_total = 0
-    res = stopping_residuals(work, x, _expand(lam, work.num_players, shared))
+    res = stopping_residuals(work, ev, [lam[s] for s in slot])
     status = None
     message = ""
 
@@ -490,7 +458,7 @@ def _run(
             status = Status.SOLVED_KKT
             break
         if _rho_stalled(trace, state, cfg):
-            if _feasibility_residual_max(work, x) <= cfg.eps_feas:
+            if _feasibility_residual_max(work, ev) <= cfg.eps_feas:
                 status = Status.INFEASIBLE_STATIONARY
                 message = (
                     "penalty growth stalled on an infeasible point that is "
@@ -500,6 +468,8 @@ def _run(
         eps_k = cfg.eps_inner(k - 1)
         inner = subsolver(work, state, x, eps_k)
         i_total += inner.iterations
+        x = inner.x
+        ev = at(x)
         if inner.status is not LmStatus.CONVERGED:
             if inner.final_residual > eps_k * cfg.soft_accept_factor:
                 status = Status.SUBSOLVER_FAILURE
@@ -507,20 +477,18 @@ def _run(
                     f"inner solver stopped ({inner.status.value}) with residual "
                     f"{inner.final_residual:.3e} above the acceptable slack"
                 )
-                x = inner.x
-                res = stopping_residuals(work, x, _expand(lam, work.num_players, shared))
+                res = stopping_residuals(work, ev, [lam[s] for s in slot])
                 break
-        x = inner.x
-        lam = update_multipliers(work, x, state)
-        vmeas_new = _vmeasure(work, x, lam, shared)
+        lam = update_multipliers(work, ev, state)
+        vmeas_new = _vmeasure(ev, lam)
         rho_next = update_penalty(vmeas_new, vmeas_old, tau, gamma, rho)
         u_next = update_safeguard(lam, cfg.u_max)
-        res = stopping_residuals(work, x, _expand(lam, work.num_players, shared))
+        res = stopping_residuals(work, ev, [lam[s] for s in slot])
         trace.append(
             IterationRecord(
                 k=k,
                 x=x.copy(),
-                multipliers=_report_multipliers(lam, original, shared),
+                multipliers=_report_multipliers(lam, original, slot),
                 u=[ui.copy() for ui in u_next],
                 rho=rho.copy(),
                 inner_iters=inner.iterations,
@@ -537,7 +505,7 @@ def _run(
         if max(res) <= cfg.eps:
             # converged exactly on the last allowed iteration
             status = Status.SOLVED_KKT
-        elif res[0] > cfg.eps and _feasibility_residual_max(work, x) <= cfg.eps_feas:
+        elif res[0] > cfg.eps and _feasibility_residual_max(work, ev) <= cfg.eps_feas:
             status = Status.INFEASIBLE_STATIONARY
             message = (
                 "iteration budget exhausted at an infeasible point that is "
@@ -551,7 +519,7 @@ def _run(
     return TerminationReport(
         status=status,
         x=x,
-        multipliers=_report_multipliers(lam, original, shared),
+        multipliers=_report_multipliers(lam, original, slot),
         residuals=res,
         rho_max=rho_max,
         i_total=i_total,

@@ -6,7 +6,8 @@ Each iteration solves the regularized normal equations
 
 for a generalized-Jacobian element ``V`` and accepts the step only if it
 strictly decreases ``||F||``; otherwise the damping ``alpha`` is grown and
-the step recomputed with the same ``V``.  Because ``F`` may be merely
+the step recomputed with the same ``V``.  A trial point at which ``F``
+cannot be evaluated counts as a rejected step.  Because ``F`` may be merely
 semismooth, the re-solve loop need not terminate; it is cut off once the
 step shrinks below ``eps / ||V||_F`` (or a retry cap), which is reported as
 a soft stop rather than an exception.
@@ -21,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+
+from .model import EvaluationError
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -152,7 +155,8 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
     re-solves it has grown by ``increase_factor**j`` and is kept.  The
     iteration reports ``SAFEGUARD_STOP`` when the re-solve loop drives the
     step below ``eps / ||V||_F`` or exceeds ``max_inner_tries``, and
-    ``MAX_ITER`` when the iteration budget runs out.
+    ``MAX_ITER`` when the iteration budget runs out.  Only an evaluation
+    error at ``x0`` itself propagates.
     """
     if cfg is None:
         cfg = LmConfig()
@@ -169,33 +173,30 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
         vfro = float(np.linalg.norm(V, "fro"))
         step_floor = math.inf if vfro == 0.0 else cfg.eps / vfro
         alpha_in = alpha
-        d = lm_step(V, fvec, alpha)
-        x_try = x + d
-        f_try = np.asarray(system.residual(x_try), dtype=float)
-        fn_try = float(np.linalg.norm(f_try))
         resolves = 0
-        if fn_try < fnorm:
-            alpha_next = max(cfg.decrease_factor * alpha, cfg.alpha_floor)
-        else:
-            while True:
-                alpha = alpha * cfg.increase_factor
-                resolves += 1
-                d = lm_step(V, fvec, alpha)
-                if float(np.linalg.norm(d)) < step_floor:
-                    return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
-                x_try = x + d
+        while True:
+            d = lm_step(V, fvec, alpha)
+            if resolves and float(np.linalg.norm(d)) < step_floor:
+                return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
+            x_try = x + d
+            try:
                 f_try = np.asarray(system.residual(x_try), dtype=float)
                 fn_try = float(np.linalg.norm(f_try))
-                if fn_try < fnorm:
-                    break
-                if resolves >= cfg.max_inner_tries:
-                    return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
-            alpha_next = alpha
+            except EvaluationError:
+                fn_try = math.inf
+            if fn_try < fnorm:
+                break
+            if resolves and resolves >= cfg.max_inner_tries:
+                return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
+            alpha = alpha * cfg.increase_factor
+            resolves += 1
+        if not resolves:
+            alpha = max(cfg.decrease_factor * alpha, cfg.alpha_floor)
         steps.append(
             LmStepLog(
                 alpha_in=alpha_in,
                 resolves=resolves,
-                alpha_out=alpha_next,
+                alpha_out=alpha,
                 residual_before=fnorm,
                 residual_after=fn_try,
                 step_norm=float(np.linalg.norm(d)),
@@ -204,7 +205,6 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
         x = x_try
         fvec = f_try
         fnorm = fn_try
-        alpha = alpha_next
 
     status = LmStatus.CONVERGED if fnorm <= cfg.eps else LmStatus.MAX_ITER
     return LmResult(x, cfg.max_iter, fnorm, status, steps)

@@ -254,19 +254,6 @@ class TestSharedPenalty:
             shared_penalty_term(prob, np.zeros(2), state)
 
 
-class TestKinkDiagnostics:
-    def test_flags_exact_kink_component(self):
-        from gnepalm.alcore import kink_components
-
-        prob = single_player(
-            theta=lambda x: 0.0, grad=lambda x: 0.0,
-            g=lambda x: x - 0.5, g_grad=lambda x: 1.0,
-        )
-        state = make_state(prob, u_value=1.0, rho=2.0)
-        np.testing.assert_array_equal(kink_components(prob, 0, np.zeros(1), state), [0])
-        assert kink_components(prob, 0, np.array([0.3]), state).size == 0
-
-
 class TestPenaltyState:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):

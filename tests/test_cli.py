@@ -198,5 +198,24 @@ class TestBatch:
         assert (tmp_path / "b.report.txt").exists()
         assert "InfeasibleStationary" in (tmp_path / "b.report.txt").read_text()
 
+    def test_failing_configs_are_isolated(self, tmp_path, capsys):
+        (tmp_path / "a.cfg").write_text("problem = duopoly_shared\nx0 = 0\n")
+        (tmp_path / "b.cfg").write_text("problem = no_such_game\n")
+        (tmp_path / "c.cfg").write_text("problem = duopoly_shared\nx0 = 1,2,3\n")
+        (tmp_path / "d.cfg").write_text(
+            f"problem = duopoly_shared\nreport = {tmp_path / 'missing' / 'd.txt'}\n"
+        )
+        (tmp_path / "e.cfg").write_text("problem = infeasible_single\n")
+        code = main(["--batch", str(tmp_path)])
+        assert code == 2  # worst of {0, 1, 1, 1, 2}
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a.cfg: exit 0"
+        assert lines[1].startswith("b.cfg: error: unknown catalog problem")
+        assert lines[2].startswith("c.cfg: error: x0 has 3 entries")
+        assert lines[3].startswith("d.cfg: error: ")
+        assert lines[4] == "e.cfg: exit 2"
+        assert len(lines) == 5
+        assert "SolvedKKT" in (tmp_path / "a.report.txt").read_text()
+
     def test_empty_batch_dir(self, tmp_path):
         assert main(["--batch", str(tmp_path)]) == 1

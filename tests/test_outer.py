@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from conftest import make_state, single_player
 
 from gnepalm import problems
 from gnepalm.alcore import PenaltyState
+from gnepalm.diagnostics import PointClass, diagnose
 from gnepalm.model import (
     ConstraintBundle,
     GnepProblem,
@@ -492,3 +496,112 @@ class TestConfigValidation:
     def test_per_player_tau_general(self, duopoly):
         report = solve(duopoly, np.zeros(2), OuterConfig(tau=[0.1, 0.2]))
         assert report.status is Status.SOLVED_KKT
+
+
+def counted(problem):
+    """Copy of ``problem`` whose callbacks log ``(callback, player, x bytes)``."""
+    calls = []
+
+    def wrap(fn, tag, nu):
+        def logged(x):
+            calls.append((tag, nu, np.asarray(x).tobytes()))
+            return fn(x)
+
+        return logged
+
+    def bundle(b, kind, nu):
+        if b is None:
+            return None
+        return replace(b, **{
+            f: wrap(getattr(b, f), f"{kind}.{f}", nu)
+            for f in ("value", "grad", "hess") if getattr(b, f) is not None
+        })
+
+    players = [
+        replace(spec, objective=bundle(spec.objective, "theta", nu), g=bundle(spec.g, "g", nu))
+        for nu, spec in enumerate(problem.players)
+    ]
+    return GnepProblem(players, shared_constraints=problem.shared_constraints), calls
+
+
+class TestEvaluateOnce:
+    TOTALS = {
+        ("duopoly_shared", "general"):
+            {"theta.grad": 36, "theta.hess": 34, "g.value": 36, "g.grad": 36, "g.hess": 30},
+        ("duopoly_shared", "variational"):
+            {"theta.grad": 36, "theta.hess": 34, "g.value": 18, "g.grad": 18, "g.hess": 30},
+        ("quad3", "general"):
+            {"theta.grad": 42, "theta.hess": 39, "g.value": 42, "g.grad": 42, "g.hess": 36},
+        ("quad3", "variational"):
+            {"theta.grad": 42, "theta.hess": 39, "g.value": 14, "g.grad": 14, "g.hess": 36},
+    }
+
+    @pytest.mark.parametrize("name, mode", list(TOTALS))
+    def test_no_callback_repeats_at_a_point(self, name, mode):
+        prob, calls = counted(problems.by_name(name))
+        run = solve_variational if mode == "variational" else solve
+        report = run(prob, np.zeros(prob.n))
+        assert report.status is Status.SOLVED_KKT
+        assert all(rec.inner.status is LmStatus.CONVERGED for rec in report.trace)
+        repeated = [c[:2] for c, k in Counter(calls).items() if k > 1]
+        assert repeated == []
+        if mode == "variational":
+            # the shared constraints are evaluated once per point, by player 0
+            assert not [c for c in calls if c[0] in ("g.value", "g.grad") and c[1] >= 1]
+        assert Counter(tag for tag, _, _ in calls) == self.TOTALS[name, mode]
+
+
+def quadratic_budget_game(N=4, d=26, seed=1):
+    """Strongly monotone quadratic game: one SPD form for all, shared ``sum(x) <= 1``."""
+    rng = np.random.default_rng(seed)
+    n = N * d
+    M = rng.standard_normal((n, n))
+    Q = M.T @ M / n + np.eye(n)
+    b = rng.standard_normal((N, n)) - 2.0
+    budget = ConstraintBundle(
+        count=1,
+        value=lambda x: np.array([x.sum() - 1.0]),
+        grad=lambda x: np.ones((n, 1)),
+        hess=lambda x: np.zeros((1, d, n)),
+    )
+    players = []
+    for nu in range(N):
+        rows = slice(nu * d, (nu + 1) * d)
+        objective = ObjectiveBundle(
+            value=lambda x, nu=nu: 0.5 * float(x @ Q @ x) + float(b[nu] @ x),
+            grad=lambda x, nu=nu, rows=rows: Q[rows] @ x + b[nu, rows],
+            hess=lambda x, rows=rows: Q[rows],
+        )
+        players.append(PlayerSpec(d, objective, g=budget))
+    return GnepProblem(players, shared_constraints=True)
+
+
+class TestLargeGame:
+    @pytest.mark.parametrize("run", [solve, solve_variational])
+    def test_solved_with_large_game_penalty_defaults(self, run):
+        prob = quadratic_budget_game()
+        assert prob.n > 100
+        report = run(prob, np.zeros(prob.n))
+        assert report.status is Status.SOLVED_KKT
+        verdict = diagnose(prob, report.x, report.multipliers)
+        assert verdict.classification is PointClass.FEASIBLE_KKT
+        # gamma = 2 is the default for n > 100 (10 below)
+        rho = np.array([rec.rho for rec in report.trace])
+        assert set((rho[1:] / rho[:-1]).ravel()) - {1.0} == {2.0}
+
+
+class TestFailedTrialPoint:
+    @pytest.mark.parametrize("x0", [5.0, 50.0, 500.0])
+    def test_domain_error_at_trial_point_is_rejected_step(self, x0):
+        # theta = x log x - x: full Newton steps leave the domain x > 0,
+        # where the gradient log x is not finite
+        obj = ObjectiveBundle(
+            value=lambda x: x[0] * np.log(x[0]) - x[0],
+            grad=lambda x: np.log(x),
+            hess=lambda x: 1.0 / x.reshape(1, 1),
+        )
+        prob = GnepProblem([PlayerSpec(1, obj)])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = solve(prob, np.array([x0]))
+        assert report.status is Status.SOLVED_KKT
+        assert abs(report.x[0] - 1.0) <= 1e-8

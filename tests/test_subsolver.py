@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnepalm.model import EvaluationError
 from gnepalm.subsolver import (
     LmConfig,
     LmStatus,
@@ -167,6 +168,28 @@ class TestLmSolve:
         res = lm_solve(sys_, np.zeros(1), LmConfig(eps=1e-300, max_iter=2))
         assert res.status is LmStatus.MAX_ITER
         assert res.iterations == 2
+
+    def test_failed_trial_point_is_rejected(self):
+        # F = log x exists only for x > 0, and the undamped Newton step from
+        # x = 5 lands below 0
+        def residual(x):
+            if x[0] <= 0.0:
+                raise EvaluationError("outside the domain")
+            return np.log(x)
+
+        sys_ = SemismoothSystem(residual=residual, jacobian=lambda x: np.diag(1.0 / x))
+        res = lm_solve(sys_, np.array([5.0]))
+        assert res.status is LmStatus.CONVERGED
+        assert any(step.resolves for step in res.steps)
+        assert abs(res.x[0] - 1.0) <= 1e-8
+
+    def test_failed_start_point_raises(self):
+        def residual(x):
+            raise EvaluationError("outside the domain")
+
+        sys_ = SemismoothSystem(residual=residual, jacobian=lambda x: np.eye(1))
+        with pytest.raises(EvaluationError):
+            lm_solve(sys_, np.zeros(1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
