@@ -24,7 +24,6 @@ from .model import Evaluation, GnepProblem, ProblemError
 
 __all__ = [
     "KinkRule",
-    "DEFAULT_KINK_RULE",
     "PenaltyState",
     "shifted_multiplier",
     "al_value",
@@ -40,11 +39,6 @@ class KinkRule(Enum):
 
     TREAT_ACTIVE = "treat_active"
     TREAT_INACTIVE = "treat_inactive"
-
-
-# Keeps the Jacobian element closest to the smooth-interior one: no rank-one
-# term is added for constraints sitting exactly on the activity boundary.
-DEFAULT_KINK_RULE = KinkRule.TREAT_INACTIVE
 
 
 @dataclass
@@ -144,7 +138,7 @@ def generalized_jacobian(
     problem: GnepProblem,
     x: np.ndarray | Evaluation,
     state: PenaltyState,
-    rule: KinkRule = DEFAULT_KINK_RULE,
+    rule: KinkRule = KinkRule.TREAT_INACTIVE,
 ) -> np.ndarray:
     """One element of the generalized Jacobian of :func:`assemble_F`.
 
@@ -154,8 +148,10 @@ def generalized_jacobian(
                 + sum_i s_i * H_{g_i}
 
     with ``s = (u + rho*g)_+`` and activity decided by the sign of
-    ``u_i + rho*g_i``; exact zeros follow ``rule``.  The result is square
-    and in general nonsymmetric.
+    ``u_i + rho*g_i``; exact zeros follow ``rule``.  The default keeps the
+    element closest to the smooth-interior one: no rank-one term is added
+    for constraints sitting exactly on the activity boundary.  The result
+    is square and in general nonsymmetric.
     """
     if problem.p > 0:
         raise ProblemError("generalized_jacobian requires full penalization")
@@ -164,7 +160,7 @@ def generalized_jacobian(
     V = np.empty((n, n))
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
-        V[rows, :] = problem.theta_hess(nu, ev.x)
+        V[rows, :] = problem.theta_hess(nu, ev.x, ev.theta_grad[nu])
         g = ev.g[nu]
         if g.size == 0:
             continue
@@ -176,7 +172,9 @@ def generalized_jacobian(
             V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
         s = np.maximum(0.0, t)
         if s.any():
-            V[rows, :] += np.tensordot(s, problem.g_hess(nu, ev.x), axes=1)
+            # In variational mode ev.g_grad[nu] is player 0's, not player nu's.
+            G_x = ev.g_grad[nu] if ev.slot[nu] == nu else None
+            V[rows, :] += np.tensordot(s, problem.g_hess(nu, ev.x, G_x), axes=1)
     return V
 
 

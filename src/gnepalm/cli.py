@@ -157,25 +157,21 @@ def _fmt_cell(value: str, width: int) -> str:
 
 
 def _table(problem: GnepProblem, x0_label: str, report: TerminationReport) -> str:
-    """Header plus one row, every number re-derived from the trace records."""
+    """Header plus one row of the report's totals; a subsolver failure prints ``F``."""
     header = "  ".join(
         _fmt_cell(name, w) for name, w in zip(_TABLE_HEADER, _TABLE_WIDTHS)
     ).rstrip()
     if report.status is Status.SUBSOLVER_FAILURE:
         cells = ["F", "", "", "", "", ""]
     else:
-        trace = report.trace
-        k = trace[-1].k if trace else 0
-        i_total = sum(rec.inner_iters for rec in trace)
-        res = trace[-1].residuals if trace else report.residuals
-        rho_max = max((float(rec.rho.max()) for rec in trace), default=report.rho_max)
+        res = report.residuals
         cells = [
-            str(k),
-            str(i_total),
+            str(report.outer_iterations),
+            str(report.i_total),
             f"{res[0]:.1e}",
             f"{res[1]:.1e}",
             f"{res[2]:.1e}",
-            f"{rho_max:g}",
+            f"{report.rho_max:g}",
         ]
     values = [problem.name, str(problem.num_players), str(problem.n), x0_label] + cells
     row = "  ".join(
@@ -232,7 +228,7 @@ def _report_text(
     ]
     if report.message:
         lines.append(f"note: {report.message}")
-    verdict = diagnostics.diagnose(problem, report.x, report.multipliers)
+    verdict = diagnostics.diagnose(problem, report.x, report.multipliers, eps=cfg.eps)
     lines.append(f"classification: {verdict.classification.value}")
     for nu, player in enumerate(verdict.to_dict()["players"], start=1):
         lines.append(

@@ -11,7 +11,8 @@ Three executable checks:
   positive linear independence of the active own-block gradients.
 
 Each check takes ``x`` or its :class:`Evaluation`; :func:`diagnose` runs
-them all on one.
+them all on one.  :func:`nnls` decides the independence test and also fits
+the outer loop's initial multipliers.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+import scipy.optimize
 
 from .model import Evaluation, GnepProblem, MultiplierSet
-from .outer import nnls
 
 __all__ = [
+    "EPS_FEAS",
+    "NnlsError",
+    "nnls",
     "kkt_residual",
     "feasibility_gnep_residual",
     "PliVerdict",
@@ -41,6 +45,35 @@ __all__ = [
 
 # Weight of the appended normalization row in the simplex least-squares fit.
 SIMPLEX_PENALTY = 1e6
+# Bound on the constraint-violation game's residual below which an infeasible
+# point counts as stationary.  The outer loop stops with InfeasibleStationary
+# under this same bound, so the solver and the check that certifies it agree.
+EPS_FEAS = 1e-6
+
+
+class NnlsError(RuntimeError):
+    """The nonnegative least-squares iteration exceeded its cap."""
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares ``argmin_{w >= 0} ||A w - b||``.
+
+    Thin wrapper around the Lawson-Hanson active-set iteration with the
+    iteration count capped at ``10 * columns``.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("nnls requires finite inputs")
+    if A.shape[0] != b.shape[0]:
+        raise ValueError("matrix and right-hand side sizes do not match")
+    if A.shape[1] == 0:
+        return np.zeros(0)
+    try:
+        sol, _ = scipy.optimize.nnls(A, b, maxiter=max(1, 10 * A.shape[1]))
+    except RuntimeError as exc:
+        raise NnlsError(str(exc)) from None
+    return sol
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -217,7 +250,7 @@ def classify_point(
     x: np.ndarray | Evaluation,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
-    eps_feas: float = 1e-6,
+    eps_feas: float = EPS_FEAS,
 ) -> PointClass:
     """Classify ``x`` as a KKT point, a stationary infeasible point, or neither."""
     ev = Evaluation.of(problem, x)
@@ -274,7 +307,7 @@ def diagnose(
     x: np.ndarray,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
-    eps_feas: float = 1e-6,
+    eps_feas: float = EPS_FEAS,
     active_tol: float = 1e-8,
 ) -> DiagnosticsVerdict:
     """Run every check once at ``x`` and collect the verdicts."""

@@ -218,21 +218,26 @@ class GnepProblem:
         dim = self.players[nu].dim
         return self._checked(self.players[nu].objective.grad(x), (dim,), nu, "theta.grad")
 
-    def theta_hess(self, nu: int, x: np.ndarray) -> np.ndarray:
-        """Row block of the second derivative of the objective, shape (dim, n)."""
+    def theta_hess(self, nu: int, x: np.ndarray, grad_x: np.ndarray | None = None) -> np.ndarray:
+        """Row block of the second derivative of the objective, shape (dim, n).
+
+        ``grad_x`` is the checked ``theta_grad(nu, x)`` if the caller holds it.
+        """
         self._check_player(nu)
         spec = self.players[nu]
         return self._hess(
-            nu, x, spec.objective.hess, (spec.dim, self.n), "theta.hess", self.theta_grad
+            nu, x, spec.objective.hess, (spec.dim, self.n), "theta.hess", self.theta_grad, grad_x
         )
 
-    def _hess(self, nu: int, x, hess, shape: tuple, label: str, grad) -> np.ndarray:
+    def _hess(self, nu: int, x, hess, shape: tuple, label: str, grad, base=None) -> np.ndarray:
         # The callback ``hess`` when given, else forward differences of the
-        # own-block first derivative ``grad(nu, x)`` along every coordinate.
+        # own-block first derivative ``grad(nu, x)`` along every coordinate;
+        # a caller that holds ``base = grad(nu, x)`` spares that call.
         x = self.point(x)
         if hess is not None:
             return self._checked(hess(x), shape, nu, label)
-        base = grad(nu, x)
+        if base is None:
+            base = grad(nu, x)
         out = np.empty(shape)
         for j in range(self.n):
             xp = x.copy()
@@ -265,8 +270,11 @@ class GnepProblem:
     def g_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
         return self._cons_grad(nu, x, "g")
 
-    def g_hess(self, nu: int, x: np.ndarray) -> np.ndarray:
-        """Stacked per-constraint row blocks, shape (count, dim, n)."""
+    def g_hess(self, nu: int, x: np.ndarray, grad_x: np.ndarray | None = None) -> np.ndarray:
+        """Stacked per-constraint row blocks, shape (count, dim, n).
+
+        ``grad_x`` is the checked ``g_grad(nu, x)`` if the caller holds it.
+        """
         self._check_player(nu)
         spec = self.players[nu]
         if spec.g_count == 0:
@@ -275,6 +283,7 @@ class GnepProblem:
         return self._hess(
             nu, x, spec.g.hess, (spec.g.count, spec.dim, self.n), "g.hess",
             lambda nu, z: self._cons_grad(nu, z, "g")[rows, :].T,
+            None if grad_x is None else grad_x[rows, :].T,
         )
 
     def h_val(self, nu: int, x: np.ndarray) -> np.ndarray:
@@ -442,6 +451,18 @@ def validate_problem(
         raise ProblemError("validate_problem needs at least one probe point")
     points = [problem.point(x) for x in probe_points]
     h = FD_CHECK_STEP
+
+    def central(f, x: np.ndarray, coords: range) -> np.ndarray:
+        # Central differences of f at x, one row per coordinate in coords.
+        out = []
+        for j in coords:
+            xp = x.copy()
+            xm = x.copy()
+            xp[j] += h
+            xm[j] -= h
+            out.append((f(xp) - f(xm)) / (2 * h))
+        return np.array(out)
+
     entries = []
     for nu, spec in enumerate(problem.players):
         rows = problem.block_slice(nu)
@@ -449,29 +470,14 @@ def validate_problem(
         worst = {"g": 0.0, "h": 0.0}
         for x in points:
             grad = problem.theta_grad(nu, x)
-            fd = np.empty(spec.dim)
-            for i, j in enumerate(range(rows.start, rows.stop)):
-                xp = x.copy()
-                xm = x.copy()
-                xp[j] += h
-                xm[j] -= h
-                fd[i] = (problem.theta(nu, xp) - problem.theta(nu, xm)) / (2 * h)
+            fd = central(lambda z: problem.theta(nu, z), x, range(rows.start, rows.stop))
             worst_theta = max(worst_theta, _rel_err(grad, fd))
             for which in ("g", "h"):
                 val = problem._cons_val(nu, x, which)
                 if val.size == 0:
                     continue
                 grad_c = problem._cons_grad(nu, x, which)
-                fd_c = np.empty_like(grad_c)
-                for j in range(problem.n):
-                    xp = x.copy()
-                    xm = x.copy()
-                    xp[j] += h
-                    xm[j] -= h
-                    fd_c[j, :] = (
-                        problem._cons_val(nu, xp, which)
-                        - problem._cons_val(nu, xm, which)
-                    ) / (2 * h)
+                fd_c = central(lambda z: problem._cons_val(nu, z, which), x, range(problem.n))
                 worst[which] = max(worst[which], _rel_err(grad_c, fd_c))
         entries.append(ValidationEntry(nu, "theta.grad", worst_theta))
         if spec.g_count:

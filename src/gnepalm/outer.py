@@ -20,21 +20,14 @@ for which only the callable interface is defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
-from .alcore import (
-    DEFAULT_KINK_RULE,
-    KinkRule,
-    PenaltyState,
-    assemble_F,
-    generalized_jacobian,
-    shifted_multiplier,
-)
+from .alcore import PenaltyState, assemble_F, generalized_jacobian, shifted_multiplier
+from .diagnostics import EPS_FEAS, feasibility_gnep_residual, nnls
 from .model import (
     ConstraintBundle,
     Evaluation,
@@ -48,7 +41,6 @@ from .subsolver import LmConfig, LmResult, LmStatus, SemismoothSystem, lm_solve
 
 __all__ = [
     "ConfigError",
-    "NnlsError",
     "Mode",
     "Status",
     "FixedTolerance",
@@ -56,7 +48,6 @@ __all__ = [
     "OuterConfig",
     "IterationRecord",
     "TerminationReport",
-    "nnls",
     "initial_multipliers",
     "update_multipliers",
     "update_penalty",
@@ -68,12 +59,19 @@ __all__ = [
 ]
 
 
+# Penalty growth has stopped helping once a penalty exceeds RHO_LIMIT while the
+# feasibility residual fell by less than the fraction STALL_RTOL over the last
+# STALL_WINDOW iterations; the point is then tested as InfeasibleStationary.
+RHO_LIMIT = 1e12
+STALL_WINDOW = 5
+STALL_RTOL = 1e-3
+# A semismooth F can stall just above the inner tolerance at a usable point, so
+# a safeguard stop within this factor of the tolerance is accepted.
+SOFT_ACCEPT_FACTOR = 1e3
+
+
 class ConfigError(ValueError):
     """Invalid solver configuration for the given problem."""
-
-
-class NnlsError(RuntimeError):
-    """The nonnegative least-squares iteration exceeded its cap."""
 
 
 class Mode(Enum):
@@ -114,6 +112,10 @@ class GeometricTolerance:
 class OuterConfig:
     """Parameters of the outer loop.
 
+    ``u_max`` bounds the safeguarded multiplier estimates, ``rho0`` is the
+    initial penalty, ``eps`` the stopping tolerance on the residual triple,
+    ``eps_inner(k)`` the inner tolerance of outer iteration ``k`` and
+    ``max_outer`` the iteration budget; ``mode`` selects the method.
     ``tau`` and ``gamma`` default to the size-dependent rule
     ``(0.1, 10)`` for ``n <= 100`` and ``(0.5, 2)`` for larger games; in
     general mode they may also be per-player sequences.
@@ -127,17 +129,6 @@ class OuterConfig:
     eps_inner: Callable[[int], float] = FixedTolerance(1e-8)
     max_outer: int = 100
     mode: Mode = Mode.GENERAL
-    # Infeasibility handling: classification tolerance plus the early
-    # trigger (penalty beyond rho_limit with stagnant feasibility residual).
-    eps_feas: float = 1e-6
-    rho_limit: float = 1e12
-    stall_window: int = 5
-    stall_rtol: float = 1e-3
-    # A safeguard-stopped inner point is still accepted if its residual is
-    # within this factor of the requested inner tolerance.
-    soft_accept_factor: float = 1e3
-    lm: LmConfig = LmConfig()
-    kink_rule: KinkRule = DEFAULT_KINK_RULE
 
     def __post_init__(self) -> None:
         if self.u_max < 0:
@@ -190,27 +181,6 @@ class TerminationReport:
 
 
 # --------------------------------------------------------------------- pieces
-
-
-def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nonnegative least squares ``argmin_{w >= 0} ||A w - b||``.
-
-    Thin wrapper around the Lawson-Hanson active-set iteration with the
-    iteration count capped at ``10 * columns``.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("nnls requires finite inputs")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("matrix and right-hand side sizes do not match")
-    if A.shape[1] == 0:
-        return np.zeros(0)
-    try:
-        sol, _ = scipy.optimize.nnls(A, b, maxiter=max(1, 10 * A.shape[1]))
-    except RuntimeError as exc:
-        raise NnlsError(str(exc)) from None
-    return sol
 
 
 def initial_multipliers(problem: GnepProblem, x0: np.ndarray | Evaluation) -> MultiplierSet:
@@ -391,36 +361,30 @@ def _report_multipliers(
     return MultiplierSet(lam=[split[s][0] for s in slot], mu=[split[s][1] for s in slot])
 
 
-def _default_subsolver(cfg: OuterConfig, at=None):
+def _default_subsolver(at=None):
     """Damped Newton-type subsolver; ``at`` is the solve's :func:`evaluator`."""
 
     def run(problem: GnepProblem, state: PenaltyState, x_start: np.ndarray, tol: float) -> LmResult:
         point = at or evaluator(problem, state.shared)
         system = SemismoothSystem(
             residual=lambda x: assemble_F(problem, point(x), state),
-            jacobian=lambda x: generalized_jacobian(problem, point(x), state, cfg.kink_rule),
+            jacobian=lambda x: generalized_jacobian(problem, point(x), state),
         )
-        return lm_solve(system, x_start, replace(cfg.lm, eps=tol))
+        return lm_solve(system, x_start, LmConfig(eps=tol))
 
     return run
 
 
-def _feasibility_residual_max(problem: GnepProblem, ev: Evaluation) -> float:
-    from .diagnostics import feasibility_gnep_residual
-
-    return float(np.max(feasibility_gnep_residual(problem, ev)))
-
-
-def _rho_stalled(trace: list[IterationRecord], state: PenaltyState, cfg: OuterConfig) -> bool:
-    if max(state.rho) <= cfg.rho_limit:
+def _rho_stalled(trace: list[IterationRecord], state: PenaltyState) -> bool:
+    if max(state.rho) <= RHO_LIMIT:
         return False
-    if len(trace) <= cfg.stall_window:
+    if len(trace) <= STALL_WINDOW:
         return False
-    old = trace[-1 - cfg.stall_window].residuals[0]
+    old = trace[-1 - STALL_WINDOW].residuals[0]
     new = trace[-1].residuals[0]
     if old <= 0.0:
         return False
-    return (old - new) < cfg.stall_rtol * old
+    return (old - new) < STALL_RTOL * old
 
 
 def _run(
@@ -445,7 +409,7 @@ def _run(
     vmeas_old = _vmeasure(ev, lam)
 
     if subsolver is None:
-        subsolver = _default_subsolver(cfg, at)
+        subsolver = _default_subsolver(at)
 
     trace: list[IterationRecord] = []
     i_total = 0
@@ -457,8 +421,8 @@ def _run(
         if max(res) <= cfg.eps:
             status = Status.SOLVED_KKT
             break
-        if _rho_stalled(trace, state, cfg):
-            if _feasibility_residual_max(work, ev) <= cfg.eps_feas:
+        if _rho_stalled(trace, state):
+            if np.max(feasibility_gnep_residual(work, ev)) <= EPS_FEAS:
                 status = Status.INFEASIBLE_STATIONARY
                 message = (
                     "penalty growth stalled on an infeasible point that is "
@@ -471,7 +435,7 @@ def _run(
         x = inner.x
         ev = at(x)
         if inner.status is not LmStatus.CONVERGED:
-            if inner.final_residual > eps_k * cfg.soft_accept_factor:
+            if inner.final_residual > eps_k * SOFT_ACCEPT_FACTOR:
                 status = Status.SUBSOLVER_FAILURE
                 message = (
                     f"inner solver stopped ({inner.status.value}) with residual "
@@ -505,7 +469,7 @@ def _run(
         if max(res) <= cfg.eps:
             # converged exactly on the last allowed iteration
             status = Status.SOLVED_KKT
-        elif res[0] > cfg.eps and _feasibility_residual_max(work, ev) <= cfg.eps_feas:
+        elif res[0] > cfg.eps and np.max(feasibility_gnep_residual(work, ev)) <= EPS_FEAS:
             status = Status.INFEASIBLE_STATIONARY
             message = (
                 "iteration budget exhausted at an infeasible point that is "

@@ -93,6 +93,17 @@ class TestRun:
         rho_max = max(max(r["rho"]) for r in records)
         assert row["rho_max"] == f"{rho_max:g}"
 
+    @pytest.mark.parametrize("mode", ["general", "variational"])
+    def test_classification_uses_run_eps(self, tmp_path, mode):
+        # solved to eps = 1e-4, the point is classified against that eps too
+        report = tmp_path / "rep.txt"
+        code = main(["--problem", "quad3", "--x0", "tens", "--eps", "1e-4",
+                     "--mode", mode, "--report", str(report)])
+        text = report.read_text()
+        assert code == 0
+        assert "status: SolvedKKT" in text
+        assert "classification: FeasibleKKT" in text
+
     def test_byte_identical_replay(self, tmp_path):
         paths = []
         for tag in ("a", "b"):

@@ -7,9 +7,10 @@ import pytest
 from conftest import make_state, single_player
 
 from gnepalm import problems
-from gnepalm.alcore import PenaltyState
+from gnepalm.alcore import PenaltyState, generalized_jacobian
 from gnepalm.diagnostics import PointClass, diagnose
 from gnepalm.model import (
+    FD_HESS_STEP,
     ConstraintBundle,
     GnepProblem,
     ObjectiveBundle,
@@ -348,7 +349,7 @@ class TestSubsolverInterface:
 
         from gnepalm.outer import _default_subsolver
 
-        base = _default_subsolver(OuterConfig())
+        base = _default_subsolver()
 
         def counting(problem, state, x_start, tol):
             calls.append(tol)
@@ -373,7 +374,7 @@ class TestSubsolverInterface:
     def test_soft_failure_accepted_within_slack(self, duopoly):
         from gnepalm.outer import _default_subsolver
 
-        base = _default_subsolver(OuterConfig())
+        base = _default_subsolver()
 
         def degraded(problem, state, x_start, tol):
             # solve accurately but report a soft stop within the slack
@@ -549,6 +550,57 @@ class TestEvaluateOnce:
             # the shared constraints are evaluated once per point, by player 0
             assert not [c for c in calls if c[0] in ("g.value", "g.grad") and c[1] >= 1]
         assert Counter(tag for tag, _, _ in calls) == self.TOTALS[name, mode]
+
+
+def hessian_variant(problem, make):
+    """Copy of ``problem`` whose objective and ``g`` bundles get ``hess = make(own_grad)``.
+
+    ``own_grad(x)`` is the raw own-block first derivative of the bundle:
+    shape (dim,) for the objective, (count, dim) for ``g``.
+    """
+    players = []
+    for nu, spec in enumerate(problem.players):
+        rows = problem.block_slice(nu)
+        players.append(replace(
+            spec,
+            objective=replace(spec.objective, hess=make(spec.objective.grad)),
+            g=replace(spec.g, hess=make(lambda x, g=spec.g, rows=rows: g.grad(x)[rows, :].T)),
+        ))
+    return GnepProblem(players, shared_constraints=problem.shared_constraints)
+
+
+def forward_differences(own_grad):
+    """Hessian callback that differences ``own_grad`` from scratch at every call."""
+
+    def hess(x):
+        base = own_grad(x)
+        cols = []
+        for j in range(x.size):
+            xp = x.copy()
+            xp[j] += FD_HESS_STEP
+            cols.append((own_grad(xp) - base) / FD_HESS_STEP)
+        return np.stack(cols, axis=-1)
+
+    return hess
+
+
+class TestForwardDifferenceHessian:
+    @pytest.mark.parametrize("run", [solve, solve_variational])
+    def test_fallback_matches_explicit_differences_without_repeats(self, run):
+        quad3 = problems.by_name("quad3")
+        free, calls = counted(hessian_variant(quad3, lambda own_grad: None))
+        report = run(free, quad3.x0_presets["tens"])
+        assert report.status is Status.SOLVED_KKT
+        # the gradient at x comes from the Evaluation, not a second call
+        theta_grad = Counter(c for c in calls if c[0] == "theta.grad")
+        assert theta_grad and max(theta_grad.values()) == 1
+        reference = hessian_variant(quad3, forward_differences)
+        shared = run is solve_variational
+        for rec in report.trace:
+            state = PenaltyState(u=rec.u, rho=list(rec.rho), u_max=1e6, shared=shared)
+            V = generalized_jacobian(free, rec.x, state)
+            V_ref = generalized_jacobian(reference, rec.x, state)
+            assert np.array_equal(V, V_ref)
 
 
 def quadratic_budget_game(N=4, d=26, seed=1):
