@@ -16,14 +16,12 @@ a function takes ``x | Evaluation``, it reads the evaluation when given one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import Evaluation, GnepProblem, ProblemError
 
 __all__ = [
-    "KinkRule",
     "PenaltyState",
     "shifted_multiplier",
     "al_value",
@@ -32,13 +30,6 @@ __all__ = [
     "generalized_jacobian",
     "shared_penalty_term",
 ]
-
-
-class KinkRule(Enum):
-    """Subgradient choice at components where ``u_i + rho*g_i(x)`` is exactly zero."""
-
-    TREAT_ACTIVE = "treat_active"
-    TREAT_INACTIVE = "treat_inactive"
 
 
 @dataclass
@@ -90,15 +81,16 @@ def shifted_multiplier(g_val: np.ndarray, u: np.ndarray, rho: float) -> np.ndarr
     return np.maximum(0.0, u + rho * g_val)
 
 
+def _penalty(g: np.ndarray, u: np.ndarray, rho: float) -> float:
+    # The shifted quadratic penalty (rho/2) * ||(g + u/rho)_+||^2.
+    shifted = np.maximum(0.0, g + u / rho)
+    return 0.5 * rho * float(shifted @ shifted)
+
+
 def al_value(problem: GnepProblem, nu: int, x: np.ndarray, state: PenaltyState) -> float:
     """Augmented Lagrangian of player ``nu`` at ``x``."""
     theta = problem.theta(nu, x)
-    g = problem.g_val(nu, x)
-    if g.size == 0:
-        return theta
-    rho = state.rho_of(nu)
-    shifted = np.maximum(0.0, g + state.u_of(nu) / rho)
-    return theta + 0.5 * rho * float(shifted @ shifted)
+    return theta + _penalty(problem.g_val(nu, x), state.u_of(nu), state.rho_of(nu))
 
 
 def al_gradient_block(
@@ -138,7 +130,6 @@ def generalized_jacobian(
     problem: GnepProblem,
     x: np.ndarray | Evaluation,
     state: PenaltyState,
-    rule: KinkRule = KinkRule.TREAT_INACTIVE,
 ) -> np.ndarray:
     """One element of the generalized Jacobian of :func:`assemble_F`.
 
@@ -147,11 +138,10 @@ def generalized_jacobian(
         H_theta + rho * sum_{i active} G_own[:, i] G_full[:, i]^T
                 + sum_i s_i * H_{g_i}
 
-    with ``s = (u + rho*g)_+`` and activity decided by the sign of
-    ``u_i + rho*g_i``; exact zeros follow ``rule``.  The default keeps the
-    element closest to the smooth-interior one: no rank-one term is added
-    for constraints sitting exactly on the activity boundary.  The result
-    is square and in general nonsymmetric.
+    with ``s = (u + rho*g)_+``; constraint ``i`` is active where
+    ``u_i + rho*g_i > 0``.  A constraint sitting exactly on the activity
+    boundary adds no rank-one term, which keeps the element closest to the
+    smooth-interior one.  The result is square and in general nonsymmetric.
     """
     if problem.p > 0:
         raise ProblemError("generalized_jacobian requires full penalization")
@@ -166,7 +156,7 @@ def generalized_jacobian(
             continue
         rho = state.rho_of(nu)
         t = state.u_of(nu) + rho * g
-        active = (t >= 0.0) if rule is KinkRule.TREAT_ACTIVE else (t > 0.0)
+        active = t > 0.0
         if active.any():
             G = ev.g_grad[nu]
             V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
@@ -186,10 +176,5 @@ def shared_penalty_term(problem: GnepProblem, x: np.ndarray, state: PenaltyState
     """
     if not problem.shared_constraints:
         raise ProblemError("shared_penalty_term requires a shared-constraint game")
-    g = problem.g_val(0, x)
-    if g.size == 0:
-        return 0.0
-    rho = state.rho_of(0)
-    shifted = np.maximum(0.0, g + state.u_of(0) / rho)
-    return 0.5 * rho * float(shifted @ shifted)
+    return _penalty(problem.g_val(0, x), state.u_of(0), state.rho_of(0))
 

@@ -23,7 +23,6 @@ from .model import EvaluationError, GnepProblem, ProblemError
 from .outer import (
     ConfigError,
     IterationRecord,
-    Mode,
     OuterConfig,
     Status,
     TerminationReport,
@@ -136,22 +135,6 @@ def parse_x0(spec: str, problem: GnepProblem) -> np.ndarray:
     return np.array(values)
 
 
-def _outer_config(cfg: RunConfig) -> OuterConfig:
-    try:
-        mode = Mode(cfg.mode)
-    except ValueError:
-        raise UsageError(f"mode must be 'general' or 'variational', got '{cfg.mode}'") from None
-    return OuterConfig(
-        u_max=cfg.umax,
-        rho0=cfg.rho0,
-        tau=cfg.tau,
-        gamma=cfg.gamma,
-        eps=cfg.eps,
-        max_outer=cfg.max_outer,
-        mode=mode,
-    )
-
-
 def _fmt_cell(value: str, width: int) -> str:
     return f"{value:<{width}}"
 
@@ -246,15 +229,20 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the exit status."""
     problem = resolve_problem(cfg.problem)
     x0 = parse_x0(cfg.x0, problem)
-    outer_cfg = _outer_config(cfg)
-    if outer_cfg.mode is Mode.VARIATIONAL:
-        report = solve_variational(problem, x0, outer_cfg)
-    else:
-        report = solve(problem, x0, outer_cfg)
-
-    # The diagnose call below may re-derive the split multipliers; reports
-    # must come out byte-identical for identical configs, so everything
-    # written is a pure function of the run result.
+    # Built on each call, so wrappers installed on cli.solve and
+    # cli.solve_variational after import are the functions that run.
+    method = {"general": solve, "variational": solve_variational}.get(cfg.mode)
+    if method is None:
+        raise UsageError(f"mode must be 'general' or 'variational', got '{cfg.mode}'")
+    outer_cfg = OuterConfig(
+        u_max=cfg.umax,
+        rho0=cfg.rho0,
+        tau=cfg.tau,
+        gamma=cfg.gamma,
+        eps=cfg.eps,
+        max_outer=cfg.max_outer,
+    )
+    report = method(problem, x0, outer_cfg)
     text = _report_text(problem, cfg, cfg.x0, report)
     if cfg.report:
         Path(cfg.report).write_text(text)

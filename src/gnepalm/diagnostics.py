@@ -250,46 +250,42 @@ def classify_point(
     x: np.ndarray | Evaluation,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
-    eps_feas: float = EPS_FEAS,
 ) -> PointClass:
-    """Classify ``x`` as a KKT point, a stationary infeasible point, or neither."""
+    """Classify ``x`` as a KKT point, a stationary infeasible point, or neither.
+
+    Violation-game stationarity is judged against :data:`EPS_FEAS`.
+    """
     ev = Evaluation.of(problem, x)
     kkt = kkt_residual(problem, ev, multipliers)
-    return _classify(ev, kkt, feasibility_gnep_residual(problem, ev), eps, eps_feas)
+    return _classify(ev, kkt, feasibility_gnep_residual(problem, ev), eps)
 
 
-def _classify(
-    ev: Evaluation, kkt: list, feasibility_gnep: np.ndarray, eps: float, eps_feas: float
-) -> PointClass:
+def _classify(ev: Evaluation, kkt: list, feasibility_gnep: np.ndarray, eps: float) -> PointClass:
     worst_kkt = max(max(p) for p in kkt)
     viol = 0.0
     for nu in range(len(ev.slot)):
         viol = max(viol, _inf_norm(np.maximum(_constraints(ev, nu), 0.0)))
     if worst_kkt <= eps and viol <= eps:
         return PointClass.FEASIBLE_KKT
-    if viol > eps and float(np.max(feasibility_gnep)) <= eps_feas:
+    if viol > eps and float(np.max(feasibility_gnep)) <= EPS_FEAS:
         return PointClass.INFEASIBLE_STATIONARY
     return PointClass.NEITHER
 
 
 @dataclass
 class DiagnosticsVerdict:
-    """Bundle of all checks at one point, with the tolerances used."""
+    """Bundle of all checks at one point, with the tolerance used."""
 
     kkt: list[tuple[float, float]]
     feasibility_gnep: np.ndarray
     emfcq: list[EmfcqVerdict]
     classification: PointClass
     eps: float
-    eps_feas: float
-    active_tol: float
 
     def to_dict(self) -> dict:
         return {
             "classification": self.classification.value,
             "eps": self.eps,
-            "eps_feas": self.eps_feas,
-            "active_tol": self.active_tol,
             "players": [
                 {
                     "stationarity": float(stat),
@@ -307,8 +303,6 @@ def diagnose(
     x: np.ndarray,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
-    eps_feas: float = EPS_FEAS,
-    active_tol: float = 1e-8,
 ) -> DiagnosticsVerdict:
     """Run every check once at ``x`` and collect the verdicts."""
     ev = Evaluation(problem, x)
@@ -317,12 +311,7 @@ def diagnose(
     return DiagnosticsVerdict(
         kkt=kkt,
         feasibility_gnep=feasibility_gnep,
-        emfcq=[
-            emfcq_check(problem, nu, ev, active_tol)
-            for nu in range(problem.num_players)
-        ],
-        classification=_classify(ev, kkt, feasibility_gnep, eps, eps_feas),
+        emfcq=[emfcq_check(problem, nu, ev) for nu in range(problem.num_players)],
+        classification=_classify(ev, kkt, feasibility_gnep, eps),
         eps=eps,
-        eps_feas=eps_feas,
-        active_tol=active_tol,
     )

@@ -41,7 +41,6 @@ from .subsolver import LmConfig, LmResult, LmStatus, SemismoothSystem, lm_solve
 
 __all__ = [
     "ConfigError",
-    "Mode",
     "Status",
     "FixedTolerance",
     "GeometricTolerance",
@@ -72,11 +71,6 @@ SOFT_ACCEPT_FACTOR = 1e3
 
 class ConfigError(ValueError):
     """Invalid solver configuration for the given problem."""
-
-
-class Mode(Enum):
-    GENERAL = "general"
-    VARIATIONAL = "variational"
 
 
 class Status(Enum):
@@ -115,20 +109,19 @@ class OuterConfig:
     ``u_max`` bounds the safeguarded multiplier estimates, ``rho0`` is the
     initial penalty, ``eps`` the stopping tolerance on the residual triple,
     ``eps_inner(k)`` the inner tolerance of outer iteration ``k`` and
-    ``max_outer`` the iteration budget; ``mode`` selects the method.
-    ``tau`` and ``gamma`` default to the size-dependent rule
-    ``(0.1, 10)`` for ``n <= 100`` and ``(0.5, 2)`` for larger games; in
-    general mode they may also be per-player sequences.
+    ``max_outer`` the iteration budget.  ``tau`` and ``gamma`` default to
+    the size-dependent rule ``(0.1, 10)`` for ``n <= 100`` and ``(0.5, 2)``
+    for larger games.  The method is chosen by calling :func:`solve` or
+    :func:`solve_variational`.
     """
 
     u_max: float = 1e6
     rho0: float = 1.0
-    tau: float | Sequence[float] | None = None
-    gamma: float | Sequence[float] | None = None
+    tau: float | None = None
+    gamma: float | None = None
     eps: float = 1e-8
     eps_inner: Callable[[int], float] = FixedTolerance(1e-8)
     max_outer: int = 100
-    mode: Mode = Mode.GENERAL
 
     def __post_init__(self) -> None:
         if self.u_max < 0:
@@ -221,16 +214,15 @@ def update_multipliers(
 def update_penalty(
     vmeasure_new: np.ndarray,
     vmeasure_old: np.ndarray,
-    tau: np.ndarray,
-    gamma: np.ndarray,
+    tau: float,
+    gamma: float,
     rho: np.ndarray,
 ) -> np.ndarray:
     """Keep ``rho`` where the measure improved by factor ``tau``, else grow by ``gamma``."""
     vn = np.atleast_1d(np.asarray(vmeasure_new, dtype=float))
     vo = np.atleast_1d(np.asarray(vmeasure_old, dtype=float))
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    keep = vn <= np.asarray(tau, dtype=float) * vo
-    return np.where(keep, rho, np.asarray(gamma, dtype=float) * rho)
+    return np.where(vn <= tau * vo, rho, gamma * rho)
 
 
 def update_safeguard(lam: Sequence[np.ndarray], u_max: float) -> list[np.ndarray]:
@@ -318,29 +310,22 @@ def fully_penalized(problem: GnepProblem) -> GnepProblem:
 # ---------------------------------------------------------------- the driver
 
 
-def _resolve_tau_gamma(problem: GnepProblem, cfg: OuterConfig, shared: bool):
-    # Aggressive penalization for small games, cautious for large ones.
-    tau_default = 0.1 if problem.n <= 100 else 0.5
-    gamma_default = 10.0 if problem.n <= 100 else 2.0
-
-    def resolve(value, default, name, low, strict_low):
+def _resolve_tau_gamma(problem: GnepProblem, cfg: OuterConfig) -> tuple[float, float]:
+    def resolve(value, default, name):
         if value is None:
-            value = default
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        if shared and arr.size != 1:
-            raise ConfigError(f"{name} must be a single scalar in variational mode")
-        if arr.size == 1:
-            arr = np.full(1 if shared else problem.num_players, float(arr[0]))
-        elif arr.size != problem.num_players:
-            raise ConfigError(f"{name} must be scalar or one value per player")
-        if strict_low and not (arr > low).all():
-            raise ConfigError(f"{name} must be > {low}")
-        return arr
+            return default
+        if np.ndim(value) != 0:
+            raise ConfigError(f"{name} must be a single number")
+        return float(value)
 
-    tau = resolve(cfg.tau, tau_default, "tau", 0.0, True)
-    if not (tau < 1.0).all():
+    # Aggressive penalization for small games, cautious for large ones.
+    small = problem.n <= 100
+    tau = resolve(cfg.tau, 0.1 if small else 0.5, "tau")
+    if not 0.0 < tau < 1.0:
         raise ConfigError("tau must lie in (0, 1)")
-    gamma = resolve(cfg.gamma, gamma_default, "gamma", 1.0, True)
+    gamma = resolve(cfg.gamma, 10.0 if small else 2.0, "gamma")
+    if not gamma > 1.0:
+        raise ConfigError("gamma must be > 1")
     return tau, gamma
 
 
@@ -390,13 +375,14 @@ def _rho_stalled(trace: list[IterationRecord], state: PenaltyState) -> bool:
 def _run(
     problem: GnepProblem,
     x0: np.ndarray,
-    cfg: OuterConfig,
+    cfg: OuterConfig | None,
     shared: bool,
     subsolver,
 ) -> TerminationReport:
+    cfg = cfg or OuterConfig()
     original = problem
     work = fully_penalized(problem)
-    tau, gamma = _resolve_tau_gamma(work, cfg, shared)
+    tau, gamma = _resolve_tau_gamma(work, cfg)
     at = evaluator(work, shared)
     x = work.point(x0).copy()
     ev = at(x)
@@ -506,7 +492,6 @@ def solve(
     problem : GnepProblem
     x0 : array of length ``n``
     cfg : OuterConfig, optional
-        Must have ``mode == Mode.GENERAL``.
     subsolver : callable, optional
         ``(problem, state, x_start, tol) -> LmResult``; defaults to the
         damped Newton-type solver on the stacked gradient system.
@@ -515,10 +500,6 @@ def solve(
     -------
     TerminationReport
     """
-    if cfg is None:
-        cfg = OuterConfig()
-    if cfg.mode is not Mode.GENERAL:
-        raise ConfigError("solve requires cfg.mode == Mode.GENERAL")
     return _run(problem, x0, cfg, shared=False, subsolver=subsolver)
 
 
@@ -534,10 +515,6 @@ def solve_variational(
     the structural sharing (``report.shared`` and aliased multiplier
     entries).
     """
-    if cfg is None:
-        cfg = OuterConfig(mode=Mode.VARIATIONAL)
-    if cfg.mode is not Mode.VARIATIONAL:
-        raise ConfigError("solve_variational requires cfg.mode == Mode.VARIATIONAL")
     if not problem.shared_constraints:
         raise ConfigError(
             "solve_variational requires a problem built with shared_constraints=True"

@@ -119,6 +119,18 @@ def _power_product(x: np.ndarray, exponents: tuple[int, ...], drop: dict[int, in
     return prod
 
 
+def _int(tok: str) -> int | None:
+    """``tok`` as an integer if it is decimal digits after an optional '-', else None."""
+    # str.isdigit() also passes superscripts such as '²', which int() rejects,
+    # and int() rejects digit strings longer than its conversion limit.
+    if tok.removeprefix("-").isdecimal():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
 def _split_tokens(line: str) -> list[str]:
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
@@ -137,10 +149,9 @@ def _parse_polynomial(tokens: list[str], n: int, source: str, lineno: int) -> Po
         i += 1
         exps = []
         while i < len(tokens) and tokens[i] != ")":
-            tok = tokens[i]
-            if not tok.lstrip("-").isdigit():
-                raise PluginError(source, lineno, f"exponent '{tok}' is not an integer")
-            e = int(tok)
+            e = _int(tokens[i])
+            if e is None:
+                raise PluginError(source, lineno, f"exponent '{tokens[i]}' is not an integer")
             if e < 0:
                 raise PluginError(source, lineno, "exponents must be nonnegative")
             exps.append(e)
@@ -214,9 +225,9 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
         if key == "name":
             name = " ".join(tokens[1:])
         elif key == "players":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            n_players = _int(tokens[1]) if len(tokens) == 2 else None
+            if n_players is None or n_players < 1:
                 raise PluginError(source, lineno, "players takes one positive integer")
-            n_players = int(tokens[1])
         elif key == "dims":
             if n_players is None:
                 raise PluginError(source, lineno, "declare players before dims")
@@ -247,9 +258,9 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
         elif key == "player":
             if dims is None:
                 raise PluginError(source, lineno, "declare players and dims before sections")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            idx = _int(tokens[1]) if len(tokens) == 2 else None
+            if idx is None:
                 raise PluginError(source, lineno, "player takes one index")
-            idx = int(tokens[1])
             if not 1 <= idx <= (n_players or 0):
                 raise PluginError(source, lineno, f"player index {idx} out of range")
             current = idx - 1

@@ -7,10 +7,11 @@ Each iteration solves the regularized normal equations
 for a generalized-Jacobian element ``V`` and accepts the step only if it
 strictly decreases ``||F||``; otherwise the damping ``alpha`` is grown and
 the step recomputed with the same ``V``.  A trial point at which ``F``
-cannot be evaluated counts as a rejected step.  Because ``F`` may be merely
-semismooth, the re-solve loop need not terminate; it is cut off once the
-step shrinks below ``eps / ||V||_F`` (or a retry cap), which is reported as
-a soft stop rather than an exception.
+cannot be evaluated, or a step whose factorization fails, counts as a
+rejected step.  Because ``F`` may be merely semismooth, the re-solve loop
+need not terminate; it is cut off once the step shrinks below
+``eps / ||V||_F`` (or a retry cap), which is reported as a soft stop
+rather than an exception.
 """
 
 from __future__ import annotations
@@ -175,14 +176,15 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
         alpha_in = alpha
         resolves = 0
         while True:
-            d = lm_step(V, fvec, alpha)
-            if resolves and float(np.linalg.norm(d)) < step_floor:
-                return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
-            x_try = x + d
             try:
+                d = lm_step(V, fvec, alpha)
+                if resolves and float(np.linalg.norm(d)) < step_floor:
+                    return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
+                x_try = x + d
                 f_try = np.asarray(system.residual(x_try), dtype=float)
                 fn_try = float(np.linalg.norm(f_try))
-            except EvaluationError:
+            except (NotPositiveDefiniteError, EvaluationError):
+                # An unevaluable trial point, or VᵀV swamping the damping under a huge penalty.
                 fn_try = math.inf
             if fn_try < fnorm:
                 break

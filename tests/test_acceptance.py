@@ -15,7 +15,6 @@ from conftest import make_state, random_nonkink_point, single_player
 
 from gnepalm import problems
 from gnepalm.alcore import (
-    KinkRule,
     PenaltyState,
     al_gradient_block,
     al_value,
@@ -45,7 +44,6 @@ from gnepalm.model import (
 )
 from gnepalm.outer import (
     ConfigError,
-    Mode,
     OuterConfig,
     Status,
     initial_multipliers,
@@ -246,7 +244,7 @@ def test_criterion_01_formula_unit_suite(duopoly, infeasible):
            and abs(rep.x[0] - 3.0) <= 1e-8)
         with pytest.raises(ConfigError):
             solve_variational(problems.nonshared2(), np.zeros(2),
-                              OuterConfig(mode=Mode.VARIATIONAL))
+                              OuterConfig())
         ok(True)
 
         # --- subsolver formulas
@@ -344,7 +342,7 @@ def test_criterion_03_jacobian_audit(rng):
 
 @pytest.mark.parametrize("start", [(0.0, 0.0), (1.0, 1.0), (10.0, 10.0)])
 def test_criterion_04_variational_convergence(duopoly, start):
-    cfg = OuterConfig(mode=Mode.VARIATIONAL)
+    cfg = OuterConfig()
     with Clock(1.0):
         report = solve_variational(duopoly, np.array(start), cfg)
     assert report.status is Status.SOLVED_KKT
@@ -391,7 +389,7 @@ def test_criterion_06_infeasible_detection(infeasible):
 def test_criterion_07_quadratic_penalty_reduction(duopoly, mode):
     with Clock(5.0):
         if mode == "variational":
-            cfg = OuterConfig(mode=Mode.VARIATIONAL, u_max=0.0, eps=1e-6)
+            cfg = OuterConfig(u_max=0.0, eps=1e-6)
             report = solve_variational(duopoly, np.zeros(2), cfg)
         else:
             cfg = OuterConfig(u_max=0.0, eps=1e-6)
@@ -430,7 +428,7 @@ def _collected_runs(duopoly, infeasible):
     if len(_SOLVER_RUNS) < 7:
         _SOLVER_RUNS.clear()
         for start in ((0.0, 0.0), (1.0, 1.0), (10.0, 10.0)):
-            cfg = OuterConfig(mode=Mode.VARIATIONAL)
+            cfg = OuterConfig()
             _stash(f"variational-{start}",
                    solve_variational(duopoly, np.array(start), cfg), 10.0, cfg.u_max)
         cfg5 = OuterConfig(eps=1e-9)
@@ -439,7 +437,7 @@ def _collected_runs(duopoly, infeasible):
         _stash("infeasible", solve(infeasible, np.zeros(1), cfg6), 10.0, cfg6.u_max)
         _stash("quadpenalty-variational",
                solve_variational(duopoly, np.zeros(2),
-                                 OuterConfig(mode=Mode.VARIATIONAL, u_max=0.0, eps=1e-6)),
+                                 OuterConfig(u_max=0.0, eps=1e-6)),
                10.0, 0.0)
         _stash("quadpenalty-general",
                solve(duopoly, np.zeros(2), OuterConfig(u_max=0.0, eps=1e-6)), 10.0, 0.0)

@@ -31,6 +31,18 @@ theta 1 (0 2)  -1 (0 1)  0.25 (0 0)
 g 1 (1 0)  1 (0 1)  -1 (0 0)
 """
 
+# x1 + x2 <= 0 and x1 + x2 >= 1 cannot both hold
+CONTRADICTORY_FILE = """\
+name contradictory
+players 1
+dims 2
+
+player 1
+theta 1 (2 0)  1 (0 2)
+g 1 (1 0)  1 (0 1)
+g 1 (0 0)  -1 (1 0)  -1 (0 1)
+"""
+
 
 def read_table_row(report_path):
     lines = report_path.read_text().splitlines()
@@ -136,6 +148,14 @@ class TestRun:
         assert code == 0
         assert "duopoly_file" in report.read_text()
 
+    def test_failed_factorization_exit_two(self, tmp_path):
+        plugin = tmp_path / "contradictory.gnep"
+        plugin.write_text(CONTRADICTORY_FILE)
+        report = tmp_path / "rep.txt"
+        code = main(["--problem", str(plugin), "--x0", "0", "--report", str(report)])
+        assert code == 2
+        assert "status: InfeasibleStationary" in report.read_text()
+
 
 class TestConfigHandling:
     def test_x0_forms(self):
@@ -227,6 +247,17 @@ class TestBatch:
         assert lines[4] == "e.cfg: exit 2"
         assert len(lines) == 5
         assert "SolvedKKT" in (tmp_path / "a.report.txt").read_text()
+
+    def test_unicode_digit_in_problem_file_is_isolated(self, tmp_path, capsys):
+        (tmp_path / "bad.gnep").write_text("players \u00b2\n")
+        (tmp_path / "a.cfg").write_text(f"problem = {tmp_path / 'bad.gnep'}\n")
+        (tmp_path / "b.cfg").write_text("problem = duopoly_shared\nx0 = 0\n")
+        code = main(["--batch", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("a.cfg: error: ")
+        assert "players takes one positive integer" in lines[0]
+        assert lines[1:] == ["b.cfg: exit 0"]
 
     def test_empty_batch_dir(self, tmp_path):
         assert main(["--batch", str(tmp_path)]) == 1

@@ -21,7 +21,7 @@ from gnepalm.model import (
     ObjectiveBundle,
     PlayerSpec,
 )
-from gnepalm.outer import OuterConfig, Mode, solve, solve_variational, stopping_residuals
+from gnepalm.outer import OuterConfig, solve, solve_variational, stopping_residuals
 
 
 class TestKktResidual:
@@ -216,7 +216,7 @@ class TestClassify:
 
 
 def test_diagnose_bundle(duopoly):
-    report = solve_variational(duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
+    report = solve_variational(duopoly, np.zeros(2), OuterConfig())
     verdict = diagnose(duopoly, report.x, report.multipliers)
     assert verdict.classification is PointClass.FEASIBLE_KKT
     payload = verdict.to_dict()

@@ -21,7 +21,6 @@ from gnepalm.outer import (
     ConfigError,
     FixedTolerance,
     GeometricTolerance,
-    Mode,
     OuterConfig,
     Status,
     fully_penalized,
@@ -219,7 +218,7 @@ class TestSolve:
         assert 0.5 - 1e-6 <= report.x[0] <= 1.0 + 1e-6
 
     def test_duopoly_variational_unique_point(self, duopoly):
-        report = solve_variational(duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
+        report = solve_variational(duopoly, np.zeros(2), OuterConfig())
         assert report.status is Status.SOLVED_KKT
         np.testing.assert_allclose(report.x, [0.75, 0.25], atol=1e-6)
         np.testing.assert_allclose(report.multipliers.lam[0], [0.5], atol=1e-6)
@@ -234,7 +233,7 @@ class TestSolve:
         assert abs(general.x.sum() - 1.0) <= 1e-6
         assert 0.5 - 1e-6 <= general.x[0] <= 1.0 + 1e-6
         variational = solve_variational(
-            duopoly, x0, OuterConfig(mode=Mode.VARIATIONAL, eps=1e-9)
+            duopoly, x0, OuterConfig(eps=1e-9)
         )
         np.testing.assert_allclose(variational.x, [0.75, 0.25], atol=1e-6)
         # both are genuine equilibria even when they disagree
@@ -248,13 +247,7 @@ class TestSolve:
     def test_variational_requires_shared(self):
         prob = problems.nonshared2()
         with pytest.raises(ConfigError):
-            solve_variational(prob, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
-
-    def test_mode_mismatch_rejected(self, duopoly):
-        with pytest.raises(ConfigError):
-            solve(duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
-        with pytest.raises(ConfigError):
-            solve_variational(duopoly, np.zeros(2), OuterConfig(mode=Mode.GENERAL))
+            solve_variational(prob, np.zeros(2), OuterConfig())
 
     def test_infeasible_detection(self, infeasible):
         report = solve(infeasible, np.zeros(1))
@@ -275,7 +268,7 @@ class TestSolve:
         assert max(res) <= 1e-8
 
     def test_variational_structural_sharing(self, duopoly):
-        report = solve_variational(duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
+        report = solve_variational(duopoly, np.zeros(2), OuterConfig())
         assert report.shared
         assert report.multipliers.lam[0] is report.multipliers.lam[1]
         for rec in report.trace:
@@ -322,10 +315,10 @@ class TestSolve:
 
     def test_convergence_on_final_allowed_iteration(self, duopoly):
         # find the natural iteration count, then allow exactly that many
-        full = solve_variational(duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
+        full = solve_variational(duopoly, np.zeros(2), OuterConfig())
         k = full.outer_iterations
         tight = solve_variational(
-            duopoly, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL, max_outer=k)
+            duopoly, np.zeros(2), OuterConfig(max_outer=k)
         )
         assert tight.status is Status.SOLVED_KKT
         assert tight.outer_iterations == k
@@ -444,7 +437,7 @@ class TestFullPenalization:
             [PlayerSpec(1, obj1, h=budget()), PlayerSpec(1, obj2, h=budget())],
             shared_constraints=True,
         )
-        report = solve_variational(prob, np.zeros(2), OuterConfig(mode=Mode.VARIATIONAL))
+        report = solve_variational(prob, np.zeros(2), OuterConfig())
         assert report.status is Status.SOLVED_KKT
         np.testing.assert_allclose(report.x, [0.75, 0.25], atol=1e-6)
         assert report.multipliers.lam[0].shape == (0,)
@@ -490,13 +483,13 @@ class TestConfigValidation:
             OuterConfig(rho0=0.0)
 
     def test_per_player_tau_in_variational_rejected(self, duopoly):
-        cfg = OuterConfig(mode=Mode.VARIATIONAL, tau=[0.1, 0.2])
+        cfg = OuterConfig(tau=[0.1, 0.2])
         with pytest.raises(ConfigError):
             solve_variational(duopoly, np.zeros(2), cfg)
 
     def test_per_player_tau_general(self, duopoly):
-        report = solve(duopoly, np.zeros(2), OuterConfig(tau=[0.1, 0.2]))
-        assert report.status is Status.SOLVED_KKT
+        with pytest.raises(ConfigError):
+            solve(duopoly, np.zeros(2), OuterConfig(tau=[0.1, 0.2]))
 
 
 def counted(problem):
@@ -657,3 +650,19 @@ class TestFailedTrialPoint:
             report = solve(prob, np.array([x0]))
         assert report.status is Status.SOLVED_KKT
         assert abs(report.x[0] - 1.0) <= 1e-8
+
+    def test_failed_factorization_is_rejected_step(self):
+        # x1 + x2 <= 0 and x1 + x2 >= 1 contradict: rho grows to about 1e10,
+        # where V^T V swamps the damping and its Cholesky factorization fails
+        obj = ObjectiveBundle(
+            value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, hess=lambda x: 2.0 * np.eye(2)
+        )
+        g = ConstraintBundle(
+            count=2,
+            value=lambda x: np.array([x[0] + x[1], 1.0 - x[0] - x[1]]),
+            grad=lambda x: np.array([[1.0, -1.0], [1.0, -1.0]]),
+            hess=lambda x: np.zeros((2, 2, 2)),
+        )
+        report = solve(GnepProblem([PlayerSpec(2, obj, g=g)]), np.zeros(2))
+        assert report.status is Status.INFEASIBLE_STATIONARY
+        np.testing.assert_allclose(report.x, [0.25, 0.25], atol=1e-6)

@@ -3,7 +3,7 @@ import pytest
 
 from gnepalm import problems
 from gnepalm.model import validate_problem
-from gnepalm.outer import Mode, OuterConfig, Status, solve_variational
+from gnepalm.outer import OuterConfig, Status, solve_variational
 from gnepalm.plugin import (
     Monomial,
     PluginError,
@@ -84,7 +84,7 @@ class TestParsing:
     def test_loaded_problem_solves(self):
         loaded = parse_problem_text(DUOPOLY_FILE)
         report = solve_variational(
-            loaded, loaded.x0_presets["origin"], OuterConfig(mode=Mode.VARIATIONAL)
+            loaded, loaded.x0_presets["origin"], OuterConfig()
         )
         assert report.status is Status.SOLVED_KKT
         np.testing.assert_allclose(report.x, [0.75, 0.25], atol=1e-6)
@@ -125,6 +125,16 @@ class TestParseErrors:
     def test_negative_exponent(self):
         text = "players 1\ndims 1\nplayer 1\ntheta 1 (-2)\n"
         with pytest.raises(PluginError, match="nonnegative"):
+            parse_problem_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "players \u00b2\n",
+        "players 1\ndims 1\nplayer \u00b9\n",
+        "players 1\ndims 1\nplayer 1\ntheta 1 (\u00b2)\n",
+    ])
+    def test_superscript_digits_rejected(self, text):
+        # str.isdigit() accepts superscripts, int() does not
+        with pytest.raises(PluginError):
             parse_problem_text(text)
 
     def test_shared_mismatch_rejected(self):

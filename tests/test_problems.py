@@ -9,7 +9,7 @@ from gnepalm.model import (
     ProblemError,
     validate_problem,
 )
-from gnepalm.outer import Mode, OuterConfig, Status, solve, solve_variational
+from gnepalm.outer import OuterConfig, Status, solve, solve_variational
 from gnepalm.problems import (
     BestResponseReport,
     OracleConfig,
@@ -145,11 +145,11 @@ def test_quad3_regression_both_modes(label):
     x0 = prob.x0_presets[label]
     general = solve(prob, x0)
     assert general.status is Status.SOLVED_KKT
-    variational = solve_variational(prob, x0, OuterConfig(mode=Mode.VARIATIONAL))
+    variational = solve_variational(prob, x0, OuterConfig())
     assert variational.status is Status.SOLVED_KKT
     # shared multiplier equilibrium is unique: same point from every start
     np.testing.assert_allclose(
         variational.x, solve_variational(prob, np.zeros(6),
-                                         OuterConfig(mode=Mode.VARIATIONAL)).x,
+                                         OuterConfig()).x,
         atol=1e-6,
     )
