@@ -110,16 +110,7 @@ def al_gradient_block(
 def assemble_F(
     problem: GnepProblem, x: np.ndarray | Evaluation, state: PenaltyState
 ) -> np.ndarray:
-    """Stacked augmented-Lagrangian gradients, one block per player.
-
-    Defined only when every constraint is penalized; a game with kept
-    constraints needs a constrained subsolver instead and is refused.
-    """
-    if problem.p > 0:
-        raise ProblemError(
-            "assemble_F requires full penalization; fold kept constraints into "
-            "the penalized group or supply a constrained subsolver"
-        )
+    """Stacked augmented-Lagrangian gradients, one block per player."""
     ev = Evaluation.of(problem, x, state.shared)
     return np.concatenate(
         [al_gradient_block(problem, nu, ev, state) for nu in range(problem.num_players)]
@@ -143,8 +134,6 @@ def generalized_jacobian(
     boundary adds no rank-one term, which keeps the element closest to the
     smooth-interior one.  The result is square and in general nonsymmetric.
     """
-    if problem.p > 0:
-        raise ProblemError("generalized_jacobian requires full penalization")
     ev = Evaluation.of(problem, x, state.shared)
     n = problem.n
     V = np.empty((n, n))

@@ -168,7 +168,6 @@ def _record_json(rec: IterationRecord) -> str:
         "k": rec.k,
         "x": [float(v) for v in rec.x],
         "lambda": [[float(v) for v in lam] for lam in rec.multipliers.lam],
-        "mu": [[float(v) for v in mu] for mu in rec.multipliers.mu],
         "u": [[float(v) for v in u] for u in rec.u],
         "rho": [float(v) for v in rec.rho],
         "inner_iters": rec.inner_iters,
@@ -198,7 +197,6 @@ def _report_text(
         f"x: {json.dumps([float(v) for v in report.x])}",
         "lambda: "
         + json.dumps([[float(v) for v in lam] for lam in report.multipliers.lam]),
-        "mu: " + json.dumps([[float(v) for v in mu] for mu in report.multipliers.mu]),
         "residuals: "
         + json.dumps(
             {
@@ -211,7 +209,7 @@ def _report_text(
     ]
     if report.message:
         lines.append(f"note: {report.message}")
-    verdict = diagnostics.diagnose(problem, report.x, report.multipliers, eps=cfg.eps)
+    verdict = diagnostics.diagnose(problem, report.evaluation, report.multipliers, eps=cfg.eps)
     lines.append(f"classification: {verdict.classification.value}")
     for nu, player in enumerate(verdict.to_dict()["players"], start=1):
         lines.append(

@@ -4,22 +4,21 @@ Three executable checks:
 
 * per-player KKT residuals (stationarity and complementarity in max norm);
 * stationarity for the constraint-violation game, in which each player
-  minimizes the squared violation of their penalized constraints subject to
-  the kept ones (limit points of the multiplier-penalty loop land there
-  when feasibility cannot be reached);
+  minimizes the squared violation of their constraints (limit points of the
+  multiplier-penalty loop land there when feasibility cannot be reached);
 * a player-wise extended Mangasarian-Fromovitz test, decided through
   positive linear independence of the active own-block gradients.
 
 Each check takes ``x`` or its :class:`Evaluation`; :func:`diagnose` runs
-them all on one.  :func:`nnls` decides the independence test and also fits
-the outer loop's initial multipliers.
+them all on one, read with every player's own constraints.  :func:`nnls`
+decides the independence test and also fits the outer loop's initial
+multipliers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 import scipy.optimize
@@ -80,19 +79,13 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _constraints(ev: Evaluation, nu: int) -> np.ndarray:
-    # All constraints of player nu: penalized group first, kept group after.
-    return np.concatenate([ev.g[nu], ev.h[nu]])
-
-
 def kkt_residual(
     problem: GnepProblem, x: np.ndarray | Evaluation, multipliers: MultiplierSet
 ) -> list[tuple[float, float]]:
     """Per-player ``(stationarity, complementarity)`` residuals in max norm.
 
-    Stationarity is ``||grad theta + grad g @ lam + grad h @ mu||`` over the
-    player's own block; complementarity is ``||min(-c, (lam, mu))||`` over
-    all of the player's constraints.
+    Stationarity is ``||grad theta + grad g @ lam||`` over the player's own
+    block; complementarity is ``||min(-g, lam)||``.
     """
     ev = Evaluation.of(problem, x)
     multipliers.check_shapes(problem)
@@ -100,51 +93,25 @@ def kkt_residual(
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
         lam = np.asarray(multipliers.lam[nu], dtype=float)
-        mu = np.asarray(multipliers.mu[nu], dtype=float)
-        stat = (
-            ev.theta_grad[nu]
-            + ev.g_grad[nu][rows, :] @ lam
-            + ev.h_grad[nu][rows, :] @ mu
-        )
-        c = _constraints(ev, nu)
-        w = np.concatenate([lam, mu])
-        comp = _inf_norm(np.minimum(-c, w)) if c.size else 0.0
+        stat = ev.theta_grad[nu] + ev.g_grad[nu][rows, :] @ lam
+        g = ev.g[nu]
+        comp = _inf_norm(np.minimum(-g, lam)) if g.size else 0.0
         out.append((_inf_norm(stat), comp))
     return out
 
 
-def feasibility_gnep_residual(
-    problem: GnepProblem,
-    x: np.ndarray | Evaluation,
-    mu_hat: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Per-player KKT residual of the constraint-violation game.
+def feasibility_gnep_residual(problem: GnepProblem, x: np.ndarray | Evaluation) -> np.ndarray:
+    """Per-player stationarity residual of the constraint-violation game.
 
-    Player ``nu`` minimizes ``||g_+(x)||^2`` subject to ``h(x) <= 0``; the
-    residual combines the own-block stationarity of that problem with the
-    complementarity of ``mu_hat`` (pass nothing when every constraint is
-    penalized).
+    Player ``nu`` minimizes ``||g_+(x)||^2`` over their own block; the
+    residual is the max norm of that problem's own-block gradient.
     """
     ev = Evaluation.of(problem, x)
     out = np.empty(problem.num_players)
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
         gplus = np.maximum(ev.g[nu], 0.0)
-        grad = 2.0 * (ev.g_grad[nu][rows, :] @ gplus)
-        h = ev.h[nu]
-        mu = (
-            np.zeros(h.size)
-            if mu_hat is None
-            else np.asarray(mu_hat[nu], dtype=float)
-        )
-        if mu.shape != (h.size,):
-            raise ValueError(f"player {nu}: mu_hat has wrong length")
-        if h.size:
-            grad = grad + ev.h_grad[nu][rows, :] @ mu
-            comp = _inf_norm(np.minimum(-h, mu))
-        else:
-            comp = 0.0
-        out[nu] = max(_inf_norm(grad), comp)
+        out[nu] = _inf_norm(2.0 * (ev.g_grad[nu][rows, :] @ gplus))
     return out
 
 
@@ -215,18 +182,17 @@ def emfcq_check(
 ) -> EmfcqVerdict:
     """Extended MFCQ for player ``nu`` at ``x``.
 
-    Constraints with ``c_i(x) >= -tol`` count as active (the slack makes the
+    Constraints with ``g_i(x) >= -tol`` count as active (the slack makes the
     check stable near boundaries).  With no active constraints the condition
     holds vacuously with the zero direction.
     """
     ev = Evaluation.of(problem, x)
     rows = problem.block_slice(nu)
-    c = _constraints(ev, nu)
-    active = np.flatnonzero(c >= -tol)
+    active = np.flatnonzero(ev.g[nu] >= -tol)
     dim = problem.players[nu].dim
     if active.size == 0:
         return EmfcqVerdict(EmfcqStatus.HOLDS, direction=np.zeros(dim), active=active)
-    V = np.hstack([ev.g_grad[nu], ev.h_grad[nu]])[rows, :][:, active]
+    V = ev.g_grad[nu][rows, :][:, active]
     pli = positive_linear_independence(V, tol)
     if not pli.independent:
         return EmfcqVerdict(EmfcqStatus.FAILS, weights=pli.weights, active=active)
@@ -264,7 +230,7 @@ def _classify(ev: Evaluation, kkt: list, feasibility_gnep: np.ndarray, eps: floa
     worst_kkt = max(max(p) for p in kkt)
     viol = 0.0
     for nu in range(len(ev.slot)):
-        viol = max(viol, _inf_norm(np.maximum(_constraints(ev, nu), 0.0)))
+        viol = max(viol, _inf_norm(np.maximum(ev.g[nu], 0.0)))
     if worst_kkt <= eps and viol <= eps:
         return PointClass.FEASIBLE_KKT
     if viol > eps and float(np.max(feasibility_gnep)) <= EPS_FEAS:
@@ -300,12 +266,17 @@ class DiagnosticsVerdict:
 
 def diagnose(
     problem: GnepProblem,
-    x: np.ndarray,
+    x: np.ndarray | Evaluation,
     multipliers: MultiplierSet,
     eps: float = 1e-8,
 ) -> DiagnosticsVerdict:
-    """Run every check once at ``x`` and collect the verdicts."""
-    ev = Evaluation(problem, x)
+    """Run every check once at ``x`` and collect the verdicts.
+
+    Each player is checked against their own constraints, also when ``x``
+    is an :class:`Evaluation` in the shared layout of the variational
+    method: the shared promise is not relied on.
+    """
+    ev = Evaluation.of(problem, x).per_player()
     kkt = kkt_residual(problem, ev, multipliers)
     feasibility_gnep = feasibility_gnep_residual(problem, ev)
     return DiagnosticsVerdict(

@@ -1,9 +1,10 @@
-"""N-player game model with block-structured variables and split constraints.
+"""N-player game model with block-structured variables.
 
 A game is a list of :class:`PlayerSpec` objects.  Player ``nu`` controls a
 contiguous block of the joint vector ``x`` and owns a scalar objective plus
-two optional groups of inequality constraints: ``g`` (the group a solver is
-allowed to penalize) and ``h`` (the group that must be kept explicitly).
+an optional group ``g`` of inequality constraints, all of which the solver
+penalizes.  Constraints kept out of the penalty would need a constrained
+inner solver, which gnepalm does not have, so there is no such group.
 All callbacks receive the full joint vector and return plain arrays whose
 shapes and finiteness are checked; an :class:`Evaluation` keeps the checked
 first-order data of one point for every consumer of that point.
@@ -11,8 +12,8 @@ first-order data of one point for every consumer of that point.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -82,27 +83,28 @@ class ConstraintBundle:
 
 @dataclass(frozen=True)
 class PlayerSpec:
-    """One player: block dimension, objective, and split constraint groups."""
+    """One player: block dimension, objective and constraints ``g``."""
 
     dim: int
     objective: ObjectiveBundle
     g: ConstraintBundle | None = None
-    h: ConstraintBundle | None = None
+    # Always None; kept because bench/tracer.py reads it and sets it in replace().
+    h: None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ProblemError(f"player dimension must be >= 1, got {self.dim}")
-        for label, bundle in (("g", self.g), ("h", self.h)):
-            if bundle is not None and bundle.count < 0:
-                raise ProblemError(f"constraint group '{label}' has negative count")
+        if self.g is not None and self.g.count < 0:
+            raise ProblemError("constraint group 'g' has negative count")
+        if self.h is not None:
+            raise ProblemError(
+                "kept constraints 'h' are not supported; declare them in 'g', "
+                "where they are penalized"
+            )
 
     @property
     def g_count(self) -> int:
         return 0 if self.g is None else self.g.count
-
-    @property
-    def h_count(self) -> int:
-        return 0 if self.h is None else self.h.count
 
 
 class GnepProblem:
@@ -113,7 +115,7 @@ class GnepProblem:
     players : sequence of PlayerSpec
         One entry per player; block offsets are the prefix sums of the dims.
     shared_constraints : bool
-        Asserts that every player's ``g`` (and ``h``) evaluates the same
+        Asserts that every player's ``g`` evaluates the same
         functions, which the variational solver requires.  Equal counts are
         enforced here; equal values are the caller's promise (the plugin
         loader verifies this structurally).
@@ -142,12 +144,10 @@ class GnepProblem:
         self.block_offsets = tuple(offsets)
         self.n = offsets[-1]
         self.m = sum(spec.g_count for spec in players)
-        self.p = sum(spec.h_count for spec in players)
         if self.shared_constraints:
-            counts = {(spec.g_count, spec.h_count) for spec in players}
-            if len(counts) > 1:
+            if len({spec.g_count for spec in players}) > 1:
                 raise ProblemError(
-                    "shared_constraints requires identical g/h counts for all players"
+                    "shared_constraints requires identical g counts for all players"
                 )
         presets: dict[str, np.ndarray] = {}
         if x0_presets:
@@ -245,30 +245,21 @@ class GnepProblem:
             out[..., j] = (grad(nu, xp) - base) / FD_HESS_STEP
         return out
 
-    def _group(self, nu: int, which: str) -> ConstraintBundle | None:
-        return self.players[nu].g if which == "g" else self.players[nu].h
-
-    def _cons_val(self, nu: int, x: np.ndarray, which: str) -> np.ndarray:
+    def g_val(self, nu: int, x: np.ndarray) -> np.ndarray:
         self._check_player(nu)
         x = self.point(x)
-        bundle = self._group(nu, which)
+        bundle = self.players[nu].g
         if bundle is None or bundle.count == 0:
             return np.zeros(0)
-        return self._checked(bundle.value(x), (bundle.count,), nu, which)
-
-    def _cons_grad(self, nu: int, x: np.ndarray, which: str) -> np.ndarray:
-        self._check_player(nu)
-        x = self.point(x)
-        bundle = self._group(nu, which)
-        if bundle is None or bundle.count == 0:
-            return np.zeros((self.n, 0))
-        return self._checked(bundle.grad(x), (self.n, bundle.count), nu, f"{which}.grad")
-
-    def g_val(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_val(nu, x, "g")
+        return self._checked(bundle.value(x), (bundle.count,), nu, "g")
 
     def g_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_grad(nu, x, "g")
+        self._check_player(nu)
+        x = self.point(x)
+        bundle = self.players[nu].g
+        if bundle is None or bundle.count == 0:
+            return np.zeros((self.n, 0))
+        return self._checked(bundle.grad(x), (self.n, bundle.count), nu, "g.grad")
 
     def g_hess(self, nu: int, x: np.ndarray, grad_x: np.ndarray | None = None) -> np.ndarray:
         """Stacked per-constraint row blocks, shape (count, dim, n).
@@ -282,22 +273,9 @@ class GnepProblem:
         rows = self.block_slice(nu)
         return self._hess(
             nu, x, spec.g.hess, (spec.g.count, spec.dim, self.n), "g.hess",
-            lambda nu, z: self._cons_grad(nu, z, "g")[rows, :].T,
+            lambda nu, z: self.g_grad(nu, z)[rows, :].T,
             None if grad_x is None else grad_x[rows, :].T,
         )
-
-    def h_val(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_val(nu, x, "h")
-
-    def h_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return self._cons_grad(nu, x, "h")
-
-    def c_val(self, nu: int, x: np.ndarray) -> np.ndarray:
-        """All constraints of player ``nu``: penalized group first, kept group after."""
-        return np.concatenate([self.g_val(nu, x), self.h_val(nu, x)])
-
-    def c_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
-        return np.hstack([self.g_grad(nu, x), self.h_grad(nu, x)])
 
 
 class Evaluation:
@@ -307,8 +285,8 @@ class Evaluation:
     everyone when ``shared`` (the variational method) is asked of a game
     with shared constraints, ``nu`` otherwise.
     Slot ``s`` is evaluated once, through player ``s``; the per-player lists
-    ``g``, ``g_grad``, ``h`` and ``h_grad`` repeat each slot's arrays, and
-    ``h`` is evaluated on first use.  Second derivatives are not stored.
+    ``g`` and ``g_grad`` repeat each slot's arrays.  Second derivatives are
+    not stored.
     """
 
     def __init__(self, problem: GnepProblem, x: np.ndarray, shared: bool = False) -> None:
@@ -334,13 +312,24 @@ class Evaluation:
             out.append(evaluate(nu, self.x) if s == nu else out[s])
         return out
 
-    @cached_property
-    def h(self) -> list[np.ndarray]:
-        return self.by_slot(self.problem.h_val)
+    def per_player(self) -> "Evaluation":
+        """This point with every player reading their own constraints.
 
-    @cached_property
-    def h_grad(self) -> list[np.ndarray]:
-        return self.by_slot(self.problem.h_grad)
+        Slots already evaluated are reused; ``g`` and ``g.grad`` are called
+        only for the players that read another player's slot here.
+        """
+        own_slots = tuple(range(len(self.slot)))
+        if self.slot == own_slots:
+            return self
+        own = copy.copy(self)
+        own.slot = own_slots
+
+        def reuse(held: list, evaluate):
+            return lambda nu, x: held[nu] if self.slot[nu] == nu else evaluate(nu, x)
+
+        own.g = own.by_slot(reuse(self.g, self.problem.g_val))
+        own.g_grad = own.by_slot(reuse(self.g_grad, self.problem.g_grad))
+        return own
 
 
 def evaluator(problem: GnepProblem, shared: bool = False) -> Callable[[np.ndarray], Evaluation]:
@@ -359,30 +348,24 @@ def evaluator(problem: GnepProblem, shared: bool = False) -> Callable[[np.ndarra
 
 @dataclass
 class MultiplierSet:
-    """Per-player multiplier estimates for the two constraint groups.
+    """Per-player multiplier estimates ``lam[nu]`` for the constraints ``g``.
 
-    No sign constraint is stored; inexact inner solves may produce negative
-    entries for the kept group.
+    No sign constraint is stored, so a caller may pass any estimate to the
+    diagnostics.
     """
 
     lam: list[np.ndarray]
-    mu: list[np.ndarray]
 
     @classmethod
     def zeros(cls, problem: GnepProblem) -> "MultiplierSet":
-        return cls(
-            lam=[np.zeros(spec.g_count) for spec in problem.players],
-            mu=[np.zeros(spec.h_count) for spec in problem.players],
-        )
+        return cls(lam=[np.zeros(spec.g_count) for spec in problem.players])
 
     def check_shapes(self, problem: GnepProblem) -> None:
-        if len(self.lam) != problem.num_players or len(self.mu) != problem.num_players:
+        if len(self.lam) != problem.num_players:
             raise ProblemError("multiplier lists must have one entry per player")
         for nu, spec in enumerate(problem.players):
             if np.asarray(self.lam[nu]).shape != (spec.g_count,):
                 raise ProblemError(f"player {nu}: lambda has wrong length")
-            if np.asarray(self.mu[nu]).shape != (spec.h_count,):
-                raise ProblemError(f"player {nu}: mu has wrong length")
 
 
 @dataclass(frozen=True)
@@ -466,22 +449,15 @@ def validate_problem(
     entries = []
     for nu, spec in enumerate(problem.players):
         rows = problem.block_slice(nu)
-        worst_theta = 0.0
-        worst = {"g": 0.0, "h": 0.0}
+        worst_theta = worst_g = 0.0
         for x in points:
             grad = problem.theta_grad(nu, x)
             fd = central(lambda z: problem.theta(nu, z), x, range(rows.start, rows.stop))
             worst_theta = max(worst_theta, _rel_err(grad, fd))
-            for which in ("g", "h"):
-                val = problem._cons_val(nu, x, which)
-                if val.size == 0:
-                    continue
-                grad_c = problem._cons_grad(nu, x, which)
-                fd_c = central(lambda z: problem._cons_val(nu, z, which), x, range(problem.n))
-                worst[which] = max(worst[which], _rel_err(grad_c, fd_c))
+            if problem.g_val(nu, x).size:
+                fd_g = central(lambda z: problem.g_val(nu, z), x, range(problem.n))
+                worst_g = max(worst_g, _rel_err(problem.g_grad(nu, x), fd_g))
         entries.append(ValidationEntry(nu, "theta.grad", worst_theta))
         if spec.g_count:
-            entries.append(ValidationEntry(nu, "g.grad", worst["g"]))
-        if spec.h_count:
-            entries.append(ValidationEntry(nu, "h.grad", worst["h"]))
+            entries.append(ValidationEntry(nu, "g.grad", worst_g))
     return ValidationReport(fd_tol=fd_tol, entries=entries)

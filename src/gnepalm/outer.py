@@ -13,13 +13,13 @@ multipliers coincide.  Both drive the same loop:
    ``tau``, grow it by ``gamma`` elsewhere;
 5. safeguard ``u = min(lambda, u_max)``.
 
-Games with kept constraints are folded into fully penalized form first;
-true partially penalized solving would need a constrained inner solver,
-for which only the callable interface is defined.
+Every constraint is penalized; keeping some out of the penalty would need a
+constrained inner solver, which the ``subsolver`` hook does not accept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -28,15 +28,7 @@ import numpy as np
 
 from .alcore import PenaltyState, assemble_F, generalized_jacobian, shifted_multiplier
 from .diagnostics import EPS_FEAS, feasibility_gnep_residual, nnls
-from .model import (
-    ConstraintBundle,
-    Evaluation,
-    GnepProblem,
-    MultiplierSet,
-    PlayerSpec,
-    ProblemError,
-    evaluator,
-)
+from .model import Evaluation, GnepProblem, MultiplierSet, evaluator
 from .subsolver import LmConfig, LmResult, LmStatus, SemismoothSystem, lm_solve
 
 __all__ = [
@@ -52,7 +44,6 @@ __all__ = [
     "update_penalty",
     "update_safeguard",
     "stopping_residuals",
-    "fully_penalized",
     "solve",
     "solve_variational",
 ]
@@ -124,12 +115,14 @@ class OuterConfig:
     max_outer: int = 100
 
     def __post_init__(self) -> None:
-        if self.u_max < 0:
+        # Written so that NaN fails each test; u_max = inf switches the
+        # safeguard off, an infinite rho0, eps or gamma is an error.
+        if not self.u_max >= 0:
             raise ConfigError("u_max must be nonnegative")
-        if not self.rho0 > 0:
-            raise ConfigError("rho0 must be positive")
-        if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+        if not 0 < self.rho0 < math.inf:
+            raise ConfigError("rho0 must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError("eps must be positive and finite")
         if self.max_outer < 1:
             raise ConfigError("max_outer must be at least 1")
 
@@ -156,7 +149,11 @@ class IterationRecord:
 
 @dataclass
 class TerminationReport:
-    """Final status with residual triple and the per-iteration trace."""
+    """Final status with residual triple and the per-iteration trace.
+
+    ``evaluation`` is the solve's :class:`Evaluation` at ``x``, in the
+    constraint layout of the method that ran.
+    """
 
     status: Status
     x: np.ndarray
@@ -164,6 +161,7 @@ class TerminationReport:
     residuals: tuple[float, float, float]
     rho_max: float
     i_total: int
+    evaluation: Evaluation
     trace: list[IterationRecord] = field(default_factory=list)
     shared: bool = False
     message: str = ""
@@ -182,7 +180,6 @@ def initial_multipliers(problem: GnepProblem, x0: np.ndarray | Evaluation) -> Mu
     Components with ``g_i(x0) < 0`` start at zero; over the remaining ones
     the stacked stationarity system of the players in each constraint slot
     of the :class:`Evaluation` is fit in a nonnegative least-squares sense.
-    Kept-group multipliers start at zero.
     """
     ev = Evaluation.of(problem, x0)
 
@@ -196,8 +193,7 @@ def initial_multipliers(problem: GnepProblem, x0: np.ndarray | Evaluation) -> Mu
             lam[active] = nnls(A[:, active], b)
         return lam
 
-    mu = [np.zeros(spec.h_count) for spec in problem.players]
-    return MultiplierSet(lam=ev.by_slot(fit), mu=mu)
+    return MultiplierSet(lam=ev.by_slot(fit))
 
 
 def update_multipliers(
@@ -234,8 +230,6 @@ def stopping_residuals(
     problem: GnepProblem, x: np.ndarray | Evaluation, lam: Sequence[np.ndarray]
 ) -> tuple[float, float, float]:
     """Max-norm (feasibility, stationarity, complementarity) residual triple."""
-    if problem.p > 0:
-        raise ProblemError("stopping residuals are defined for fully penalized games")
     ev = Evaluation.of(problem, x)
     r_f = r_o = r_c = 0.0
     for nu in range(problem.num_players):
@@ -248,63 +242,6 @@ def stopping_residuals(
             r_f = max(r_f, float(np.maximum(g, 0.0).max()))
             r_c = max(r_c, abs(float(g @ l)))
     return (r_f, r_o, r_c)
-
-
-def _merge_constraint_bundles(
-    g: ConstraintBundle | None, h: ConstraintBundle
-) -> ConstraintBundle:
-    if g is None:
-        return h
-
-    def value(x):
-        return np.concatenate(
-            [np.asarray(g.value(x), dtype=float).reshape(-1),
-             np.asarray(h.value(x), dtype=float).reshape(-1)]
-        )
-
-    def grad(x):
-        return np.hstack(
-            [np.asarray(g.grad(x), dtype=float), np.asarray(h.grad(x), dtype=float)]
-        )
-
-    hess = None
-    if g.hess is not None and h.hess is not None:
-        def hess(x):
-            return np.concatenate(
-                [np.asarray(g.hess(x), dtype=float),
-                 np.asarray(h.hess(x), dtype=float)],
-                axis=0,
-            )
-
-    return ConstraintBundle(count=g.count + h.count, value=value, grad=grad, hess=hess)
-
-
-def fully_penalized(problem: GnepProblem) -> GnepProblem:
-    """Fold every kept constraint into the penalized group.
-
-    Returns the problem itself when nothing is kept; the multiplier split
-    for reporting is recovered from the original player counts.
-    """
-    if problem.p == 0:
-        return problem
-    players = []
-    for spec in problem.players:
-        if spec.h is None or spec.h.count == 0:
-            players.append(spec)
-        else:
-            players.append(
-                PlayerSpec(
-                    dim=spec.dim,
-                    objective=spec.objective,
-                    g=_merge_constraint_bundles(spec.g, spec.h),
-                )
-            )
-    return GnepProblem(
-        players,
-        shared_constraints=problem.shared_constraints,
-        name=problem.name,
-        x0_presets=problem.x0_presets,
-    )
 
 
 # ---------------------------------------------------------------- the driver
@@ -324,8 +261,8 @@ def _resolve_tau_gamma(problem: GnepProblem, cfg: OuterConfig) -> tuple[float, f
     if not 0.0 < tau < 1.0:
         raise ConfigError("tau must lie in (0, 1)")
     gamma = resolve(cfg.gamma, 10.0 if small else 2.0, "gamma")
-    if not gamma > 1.0:
-        raise ConfigError("gamma must be > 1")
+    if not 1.0 < gamma < math.inf:
+        raise ConfigError("gamma must be > 1 and finite")
     return tau, gamma
 
 
@@ -334,16 +271,6 @@ def _vmeasure(ev: Evaluation, lam: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(
         [float(np.linalg.norm(np.minimum(-ev.g[s], l))) for s, l in enumerate(lam)]
     )
-
-
-def _report_multipliers(
-    lam: list[np.ndarray], original: GnepProblem, slot: Sequence[int]
-) -> MultiplierSet:
-    # Split each slot's merged vector back into the original (penalized,
-    # kept) groups; players sharing a slot alias the same arrays.
-    split = [(l[: original.players[s].g_count], l[original.players[s].g_count:])
-             for s, l in enumerate(lam)]
-    return MultiplierSet(lam=[split[s][0] for s in slot], mu=[split[s][1] for s in slot])
 
 
 def _default_subsolver(at=None):
@@ -380,15 +307,13 @@ def _run(
     subsolver,
 ) -> TerminationReport:
     cfg = cfg or OuterConfig()
-    original = problem
-    work = fully_penalized(problem)
-    tau, gamma = _resolve_tau_gamma(work, cfg)
-    at = evaluator(work, shared)
-    x = work.point(x0).copy()
+    tau, gamma = _resolve_tau_gamma(problem, cfg)
+    at = evaluator(problem, shared)
+    x = problem.point(x0).copy()
     ev = at(x)
     slot = ev.slot
     # One multiplier vector per constraint slot; slot s is player s's.
-    lam = initial_multipliers(work, ev).lam[: max(slot) + 1]
+    lam = initial_multipliers(problem, ev).lam[: max(slot) + 1]
     rho = np.full(len(lam), cfg.rho0)
     u = update_safeguard(lam, cfg.u_max)
     state = PenaltyState(u=u, rho=list(rho), u_max=cfg.u_max, shared=shared)
@@ -399,7 +324,7 @@ def _run(
 
     trace: list[IterationRecord] = []
     i_total = 0
-    res = stopping_residuals(work, ev, [lam[s] for s in slot])
+    res = stopping_residuals(problem, ev, [lam[s] for s in slot])
     status = None
     message = ""
 
@@ -408,7 +333,7 @@ def _run(
             status = Status.SOLVED_KKT
             break
         if _rho_stalled(trace, state):
-            if np.max(feasibility_gnep_residual(work, ev)) <= EPS_FEAS:
+            if np.max(feasibility_gnep_residual(problem, ev)) <= EPS_FEAS:
                 status = Status.INFEASIBLE_STATIONARY
                 message = (
                     "penalty growth stalled on an infeasible point that is "
@@ -416,7 +341,7 @@ def _run(
                 )
                 break
         eps_k = cfg.eps_inner(k - 1)
-        inner = subsolver(work, state, x, eps_k)
+        inner = subsolver(problem, state, x, eps_k)
         i_total += inner.iterations
         x = inner.x
         ev = at(x)
@@ -427,18 +352,19 @@ def _run(
                     f"inner solver stopped ({inner.status.value}) with residual "
                     f"{inner.final_residual:.3e} above the acceptable slack"
                 )
-                res = stopping_residuals(work, ev, [lam[s] for s in slot])
+                res = stopping_residuals(problem, ev, [lam[s] for s in slot])
                 break
-        lam = update_multipliers(work, ev, state)
+        lam = update_multipliers(problem, ev, state)
         vmeas_new = _vmeasure(ev, lam)
         rho_next = update_penalty(vmeas_new, vmeas_old, tau, gamma, rho)
         u_next = update_safeguard(lam, cfg.u_max)
-        res = stopping_residuals(work, ev, [lam[s] for s in slot])
+        res = stopping_residuals(problem, ev, [lam[s] for s in slot])
         trace.append(
             IterationRecord(
                 k=k,
                 x=x.copy(),
-                multipliers=_report_multipliers(lam, original, slot),
+                # Players that share a slot alias the same arrays.
+                multipliers=MultiplierSet(lam=[lam[s] for s in slot]),
                 u=[ui.copy() for ui in u_next],
                 rho=rho.copy(),
                 inner_iters=inner.iterations,
@@ -455,7 +381,7 @@ def _run(
         if max(res) <= cfg.eps:
             # converged exactly on the last allowed iteration
             status = Status.SOLVED_KKT
-        elif res[0] > cfg.eps and np.max(feasibility_gnep_residual(work, ev)) <= EPS_FEAS:
+        elif res[0] > cfg.eps and np.max(feasibility_gnep_residual(problem, ev)) <= EPS_FEAS:
             status = Status.INFEASIBLE_STATIONARY
             message = (
                 "iteration budget exhausted at an infeasible point that is "
@@ -469,10 +395,11 @@ def _run(
     return TerminationReport(
         status=status,
         x=x,
-        multipliers=_report_multipliers(lam, original, slot),
+        multipliers=MultiplierSet(lam=[lam[s] for s in slot]),
         residuals=res,
         rho_max=rho_max,
         i_total=i_total,
+        evaluation=ev,
         trace=trace,
         shared=shared,
         message=message,

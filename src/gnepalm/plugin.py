@@ -20,12 +20,14 @@ ignored::
 
 Header lines declare the player count, per-player dimensions, optional
 ``shared`` flag, and named start vectors.  Inside a ``player k`` section
-(1-based), ``theta`` gives the objective and each ``g`` / ``h`` line one
-constraint, all as monomial sums ``coefficient (e1 ... en)`` with one
-nonnegative integer exponent per variable.  Polynomials have exact first
-and second derivatives, so loaded problems satisfy the full callback
-contract and pass the finite-difference validator.  The ``shared`` flag is
-verified by structural equality of the players' constraint lists.
+(1-based), ``theta`` gives the objective and each ``g`` line one constraint
+``g(x) <= 0``, all as monomial sums ``coefficient (e1 ... en)`` with one
+nonnegative integer exponent per variable.  Every constraint is penalized:
+an ``h`` line, which would keep a constraint out of the penalty, is
+rejected.  Polynomials have exact first and second derivatives, so loaded
+problems satisfy the full callback contract and pass the finite-difference
+validator.  The ``shared`` flag is verified by structural equality of the
+players' constraint lists.
 """
 
 from __future__ import annotations
@@ -171,8 +173,7 @@ def _parse_polynomial(tokens: list[str], n: int, source: str, lineno: int) -> Po
 
 
 def _build_player(
-    dims: list[int], nu: int, theta: Polynomial | None,
-    g_polys: list[Polynomial], h_polys: list[Polynomial], n: int,
+    dims: list[int], nu: int, theta: Polynomial | None, g_polys: list[Polynomial], n: int
 ) -> PlayerSpec:
     start = sum(dims[:nu])
     rows = slice(start, start + dims[nu])
@@ -190,17 +191,15 @@ def _build_player(
             hess=lambda x, p=theta: p.hess(x)[rows, :],
         )
 
-    def bundle(polys: list[Polynomial]) -> ConstraintBundle | None:
-        if not polys:
-            return None
-        return ConstraintBundle(
-            count=len(polys),
-            value=lambda x, ps=polys: np.array([p.value(x) for p in ps]),
-            grad=lambda x, ps=polys: np.column_stack([p.grad(x) for p in ps]),
-            hess=lambda x, ps=polys: np.stack([p.hess(x)[rows, :] for p in ps]),
-        )
-
-    return PlayerSpec(dims[nu], objective, g=bundle(g_polys), h=bundle(h_polys))
+    if not g_polys:
+        return PlayerSpec(dims[nu], objective)
+    g = ConstraintBundle(
+        count=len(g_polys),
+        value=lambda x: np.array([p.value(x) for p in g_polys]),
+        grad=lambda x: np.column_stack([p.grad(x) for p in g_polys]),
+        hess=lambda x: np.stack([p.hess(x)[rows, :] for p in g_polys]),
+    )
+    return PlayerSpec(dims[nu], objective, g=g)
 
 
 def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
@@ -212,7 +211,6 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
     presets: dict[str, list[float]] = {}
     thetas: dict[int, Polynomial] = {}
     gs: dict[int, list[Polynomial]] = {}
-    hs: dict[int, list[Polynomial]] = {}
     current: int | None = None
     n = 0
 
@@ -265,8 +263,12 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
                 raise PluginError(source, lineno, f"player index {idx} out of range")
             current = idx - 1
             gs.setdefault(current, [])
-            hs.setdefault(current, [])
-        elif key in ("theta", "g", "h"):
+        elif key == "h":
+            raise PluginError(
+                source, lineno,
+                "'h' (kept) constraints are not supported; write the constraint as a 'g' line",
+            )
+        elif key in ("theta", "g"):
             if current is None or dims is None:
                 raise PluginError(source, lineno, f"'{key}' must appear inside a player section")
             poly = _parse_polynomial(tokens[1:], n, source, lineno)
@@ -274,10 +276,8 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
                 if current in thetas:
                     raise PluginError(source, lineno, "duplicate theta for this player")
                 thetas[current] = poly
-            elif key == "g":
-                gs[current].append(poly)
             else:
-                hs[current].append(poly)
+                gs[current].append(poly)
         else:
             raise PluginError(source, lineno, f"unknown directive '{key}'")
 
@@ -289,10 +289,8 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
 
     if shared:
         ref_g = [p.canonical() for p in gs[0]]
-        ref_h = [p.canonical() for p in hs[0]]
         for nu in range(1, n_players):
-            if [p.canonical() for p in gs[nu]] != ref_g or \
-               [p.canonical() for p in hs[nu]] != ref_h:
+            if [p.canonical() for p in gs[nu]] != ref_g:
                 raise PluginError(
                     source, None,
                     f"shared flag set but player {nu + 1}'s constraints differ "
@@ -300,7 +298,7 @@ def parse_problem_text(text: str, source: str = "<string>") -> GnepProblem:
                 )
 
     players = [
-        _build_player(dims, nu, thetas.get(nu), gs[nu], hs[nu], n)
+        _build_player(dims, nu, thetas.get(nu), gs[nu], n)
         for nu in range(n_players)
     ]
     return GnepProblem(

@@ -352,7 +352,7 @@ def best_response_check(
                     f"player {nu} coordinate {i} of x is outside the oracle box"
                 )
     for nu in range(problem.num_players):
-        c = problem.c_val(nu, x)
+        c = problem.g_val(nu, x)
         if c.size and float(c.max()) > cfg.feas_tol:
             return BestResponseReport(
                 OracleVerdict.NOT_APPLICABLE,
@@ -370,7 +370,7 @@ def best_response_check(
         for candidate in itertools.product(*axes):
             z = x.copy()
             z[rows] = candidate
-            c = problem.c_val(nu, z)
+            c = problem.g_val(nu, z)
             if c.size and float(c.max()) > cfg.feas_tol:
                 continue
             gain = base - problem.theta(nu, z)

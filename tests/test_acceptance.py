@@ -263,11 +263,11 @@ def test_criterion_01_formula_unit_suite(duopoly, infeasible):
         calm = single_player(theta=lambda x: 0.0, grad=lambda x: 0.0,
                              g=lambda x: -2.0, g_grad=lambda x: 0.0)
         ok(kkt_residual(calm, np.zeros(1),
-                        MultiplierSet(lam=[np.zeros(1)], mu=[np.zeros(0)])) == [(0.0, 0.0)])
+                        MultiplierSet(lam=[np.zeros(1)])) == [(0.0, 0.0)])
         edge = single_player(theta=lambda x: 0.0, grad=lambda x: 0.0,
                              g=lambda x: 0.0, g_grad=lambda x: 0.0)
         ok(kkt_residual(edge, np.zeros(1),
-                        MultiplierSet(lam=[np.array([-1.0])], mu=[np.zeros(0)]))[0][1] == 1.0)
+                        MultiplierSet(lam=[np.array([-1.0])]))[0][1] == 1.0)
         feas_x = np.array([0.2, 0.2])
         ok(np.array_equal(feasibility_gnep_residual(duopoly, feas_x), np.zeros(2)))
         ok(feasibility_gnep_residual(infeasible, np.zeros(1))[0] == 0.0)
@@ -417,7 +417,7 @@ def test_criterion_08_cq_fixtures():
         ones = np.ones(2)
         assert emfcq_check(b, 0, ones).status is EmfcqStatus.HOLDS
         assert emfcq_check(b, 1, ones).status is EmfcqStatus.HOLDS
-        concatenated = np.hstack([b.c_grad(0, ones), b.c_grad(1, ones)])
+        concatenated = np.hstack([b.g_grad(0, ones), b.g_grad(1, ones)])
         assert not positive_linear_independence(concatenated).independent
     _announce(8, "player-wise and concatenated constraint-qualification "
                  "verdicts match the fixtures")

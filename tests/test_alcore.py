@@ -162,18 +162,6 @@ class TestAssembleF:
         F = assemble_F(duopoly, np.array([0.75, 0.25]), state)
         assert np.abs(F).max() <= 1e-8
 
-    def test_refuses_kept_constraints(self):
-        from gnepalm.model import ConstraintBundle, GnepProblem, ObjectiveBundle, PlayerSpec
-
-        obj = ObjectiveBundle(value=lambda x: x[0], grad=lambda x: np.ones(1))
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0] - 1]), grad=lambda x: np.ones((1, 1))
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, h=h)])
-        state = PenaltyState(u=[np.zeros(0)], rho=[1.0], u_max=1e6)
-        with pytest.raises(ProblemError, match="full penalization"):
-            assemble_F(prob, np.zeros(1), state)
-
 
 class TestGeneralizedJacobian:
     def test_all_inactive_gives_objective_blocks(self, duopoly):

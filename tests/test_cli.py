@@ -215,6 +215,13 @@ class TestConfigHandling:
     def test_variational_on_nonshared_is_config_error(self):
         assert main(["--problem", "nonshared2", "--mode", "variational"]) == 1
 
+    def test_nan_umax_is_config_error(self, tmp_path, capsys):
+        # not a SolvedKKT report at the non-equilibrium (0, 0)
+        report = tmp_path / "rep.txt"
+        assert main(["--problem", "duopoly_shared", "--umax", "nan", "--report", str(report)]) == 1
+        assert "u_max" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestBatch:
     def test_batch_directory(self, tmp_path):
@@ -257,6 +264,17 @@ class TestBatch:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("a.cfg: error: ")
         assert "players takes one positive integer" in lines[0]
+        assert lines[1:] == ["b.cfg: exit 0"]
+
+    def test_kept_constraint_in_problem_file_is_isolated(self, tmp_path, capsys):
+        (tmp_path / "kept.gnep").write_text(DUOPOLY_FILE.replace("\ng 1", "\nh 1"))
+        (tmp_path / "a.cfg").write_text(f"problem = {tmp_path / 'kept.gnep'}\n")
+        (tmp_path / "b.cfg").write_text("problem = duopoly_shared\nx0 = 0\n")
+        code = main(["--batch", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("a.cfg: error: ")
+        assert "write the constraint as a 'g' line" in lines[0]
         assert lines[1:] == ["b.cfg: exit 0"]
 
     def test_empty_batch_dir(self, tmp_path):

@@ -18,7 +18,6 @@ from gnepalm.model import (
     ConstraintBundle,
     GnepProblem,
     MultiplierSet,
-    ObjectiveBundle,
     PlayerSpec,
 )
 from gnepalm.outer import OuterConfig, solve, solve_variational, stopping_residuals
@@ -29,32 +28,21 @@ class TestKktResidual:
         prob = single_player(
             theta=lambda x: 0.0, grad=lambda x: 0.0, g=lambda x: -2.0, g_grad=lambda x: 0.0
         )
-        ms = MultiplierSet(lam=[np.array([0.0])], mu=[np.zeros(0)])
+        ms = MultiplierSet(lam=[np.array([0.0])])
         assert kkt_residual(prob, np.zeros(1), ms) == [(0.0, 0.0)]
 
     def test_sign_violation(self):
         prob = single_player(
             theta=lambda x: 0.0, grad=lambda x: 0.0, g=lambda x: 0.0, g_grad=lambda x: 0.0
         )
-        ms = MultiplierSet(lam=[np.array([-1.0])], mu=[np.zeros(0)])
+        ms = MultiplierSet(lam=[np.array([-1.0])])
         stat, comp = kkt_residual(prob, np.zeros(1), ms)[0]
         assert comp == 1.0
 
     def test_duopoly_equilibrium(self, duopoly):
-        ms = MultiplierSet(lam=[np.array([0.5]), np.array([0.5])], mu=[np.zeros(0)] * 2)
+        ms = MultiplierSet(lam=[np.array([0.5]), np.array([0.5])])
         pairs = kkt_residual(duopoly, np.array([0.75, 0.25]), ms)
         assert max(max(p) for p in pairs) <= 1e-12
-
-    def test_kept_group_enters_stationarity(self):
-        obj = ObjectiveBundle(value=lambda x: x[0], grad=lambda x: np.ones(1))
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0]]), grad=lambda x: np.ones((1, 1))
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, h=h)])
-        ms = MultiplierSet(lam=[np.zeros(0)], mu=[np.array([-1.0])])
-        stat, comp = kkt_residual(prob, np.zeros(1), ms)[0]
-        assert stat == 0.0  # 1 + 1*(-1)
-        assert comp == 1.0  # min(-0, -1) = -1
 
 
 class TestFeasibilityResidual:
@@ -77,16 +65,6 @@ class TestFeasibilityResidual:
         np.testing.assert_allclose(
             feasibility_gnep_residual(infeasible, np.array([1.0])), [8.0]
         )
-
-    def test_kept_group_complementarity(self):
-        obj = ObjectiveBundle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0]]), grad=lambda x: np.ones((1, 1))
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, h=h)])
-        res = feasibility_gnep_residual(prob, np.array([-1.0]), mu_hat=[np.array([2.0])])
-        # stationarity |0 + 1*2| = 2, complementarity |min(1, 2)| = 1
-        np.testing.assert_allclose(res, [2.0])
 
 
 class TestPositiveLinearIndependence:
@@ -140,13 +118,13 @@ class TestEmfcq:
             assert verdict.status is EmfcqStatus.HOLDS
             # returned direction is a certified strict descent direction
             rows = prob.block_slice(nu)
-            V = prob.c_grad(nu, xbar)[rows, :][:, verdict.active]
+            V = prob.g_grad(nu, xbar)[rows, :][:, verdict.active]
             assert (V.T @ verdict.direction < 0).all()
 
     def test_fixture_b_concatenated_gradients_dependent(self):
         prob = problems.example24b()
         xbar = np.ones(2)
-        cols = np.hstack([prob.c_grad(0, xbar), prob.c_grad(1, xbar)])
+        cols = np.hstack([prob.g_grad(0, xbar), prob.g_grad(1, xbar)])
         assert not positive_linear_independence(cols).independent
 
     def test_vacuous_hold_without_active_constraints(self, duopoly):
@@ -189,7 +167,7 @@ class TestEmfcq:
 
 class TestClassify:
     def test_duopoly_equilibrium_is_feasible_kkt(self, duopoly):
-        ms = MultiplierSet(lam=[np.array([0.5]), np.array([0.5])], mu=[np.zeros(0)] * 2)
+        ms = MultiplierSet(lam=[np.array([0.5]), np.array([0.5])])
         assert (
             classify_point(duopoly, np.array([0.75, 0.25]), ms)
             is PointClass.FEASIBLE_KKT
@@ -209,7 +187,7 @@ class TestClassify:
         verdict = classify_point(duopoly, report.x, report.multipliers)
         assert (max(res) <= 1e-8) == (verdict is PointClass.FEASIBLE_KKT)
         # far away both views reject
-        ms = MultiplierSet(lam=[np.array([3.0]), np.array([1.0])], mu=[np.zeros(0)] * 2)
+        ms = MultiplierSet(lam=[np.array([3.0]), np.array([1.0])])
         far = np.array([4.0, 4.0])
         assert max(stopping_residuals(duopoly, far, ms.lam)) > 1e-8
         assert classify_point(duopoly, far, ms) is not PointClass.FEASIBLE_KKT

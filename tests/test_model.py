@@ -50,10 +50,18 @@ class TestBlockAccess:
     def test_offsets_consistent(self):
         prob = two_block_problem()
         assert prob.block_offsets == (0, 1, 3)
-        assert prob.n == 3 and prob.m == 0 and prob.p == 0
+        assert prob.n == 3 and prob.m == 0
 
 
 class TestContracts:
+    def test_kept_group_rejected(self):
+        obj = ObjectiveBundle(value=lambda x: x[0], grad=lambda x: np.ones(1))
+        h = ConstraintBundle(
+            count=1, value=lambda x: np.array([x[0]]), grad=lambda x: np.ones((1, 1))
+        )
+        with pytest.raises(ProblemError, match="'g'"):
+            PlayerSpec(1, obj, h=h)
+
     def test_wrong_point_length(self):
         prob = two_block_problem()
         with pytest.raises(ProblemError):
@@ -171,4 +179,3 @@ def test_multiplier_set_zeros(duopoly):
     ms = MultiplierSet.zeros(duopoly)
     ms.check_shapes(duopoly)
     assert all(lam.shape == (1,) for lam in ms.lam)
-    assert all(mu.shape == (0,) for mu in ms.mu)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_state, single_player
 
-from gnepalm import problems
+from gnepalm import cli, problems
 from gnepalm.alcore import PenaltyState, generalized_jacobian
 from gnepalm.diagnostics import PointClass, diagnose
 from gnepalm.model import (
@@ -15,7 +15,6 @@ from gnepalm.model import (
     GnepProblem,
     ObjectiveBundle,
     PlayerSpec,
-    ProblemError,
 )
 from gnepalm.outer import (
     ConfigError,
@@ -23,7 +22,6 @@ from gnepalm.outer import (
     GeometricTolerance,
     OuterConfig,
     Status,
-    fully_penalized,
     initial_multipliers,
     nnls,
     solve,
@@ -93,15 +91,6 @@ class TestInitialMultipliers:
         )
         ms = initial_multipliers(prob, np.zeros(1))
         np.testing.assert_array_equal(ms.lam[0], [0.0])
-
-    def test_mu_starts_at_zero(self):
-        obj = ObjectiveBundle(value=lambda x: x[0], grad=lambda x: np.ones(1))
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0]]), grad=lambda x: np.ones((1, 1))
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, h=h)])
-        ms = initial_multipliers(prob, np.zeros(1))
-        np.testing.assert_array_equal(ms.mu[0], [0.0])
 
 
 class TestUpdates:
@@ -189,15 +178,6 @@ class TestStoppingResiduals:
             duopoly, np.array([0.75, 0.25]), [np.array([0.5]), np.array([0.5])]
         )
         assert max(res) <= 1e-12
-
-    def test_requires_full_penalization(self):
-        obj = ObjectiveBundle(value=lambda x: x[0], grad=lambda x: np.ones(1))
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0]]), grad=lambda x: np.ones((1, 1))
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, h=h)])
-        with pytest.raises(ProblemError):
-            stopping_residuals(prob, np.zeros(1), [np.zeros(0)])
 
 
 class TestSolve:
@@ -382,93 +362,6 @@ class TestSubsolverInterface:
         assert report.status is Status.SOLVED_KKT
 
 
-class TestFullPenalization:
-    def make_problem_with_kept_group(self):
-        # one player: min (x-2)^2 s.t. x - 1 <= 0 kept in the h group
-        obj = ObjectiveBundle(
-            value=lambda x: (x[0] - 2.0) ** 2,
-            grad=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-            hess=lambda x: np.array([[2.0]]),
-        )
-        h = ConstraintBundle(
-            count=1,
-            value=lambda x: np.array([x[0] - 1.0]),
-            grad=lambda x: np.array([[1.0]]),
-            hess=lambda x: np.zeros((1, 1, 1)),
-        )
-        return GnepProblem([PlayerSpec(1, obj, h=h)], name="kept")
-
-    def test_merge_and_solve(self):
-        prob = self.make_problem_with_kept_group()
-        merged = fully_penalized(prob)
-        assert merged.p == 0 and merged.m == 1
-        report = solve(prob, np.zeros(1))
-        assert report.status is Status.SOLVED_KKT
-        assert abs(report.x[0] - 1.0) <= 1e-6
-        # the kept-group multiplier is reported in mu
-        assert report.multipliers.lam[0].shape == (0,)
-        np.testing.assert_allclose(report.multipliers.mu[0], [2.0], atol=1e-6)
-
-    def test_noop_when_nothing_kept(self, duopoly):
-        assert fully_penalized(duopoly) is duopoly
-
-    def test_variational_with_kept_group(self):
-        # shared budget declared in the kept group: folded in, solved, and
-        # reported back through mu with structural sharing intact
-        def budget():
-            return ConstraintBundle(
-                count=1,
-                value=lambda x: np.array([x[0] + x[1] - 1.0]),
-                grad=lambda x: np.array([[1.0], [1.0]]),
-                hess=lambda x: np.zeros((1, 1, 2)),
-            )
-
-        obj1 = ObjectiveBundle(
-            value=lambda x: (x[0] - 1.0) ** 2,
-            grad=lambda x: np.array([2.0 * (x[0] - 1.0)]),
-            hess=lambda x: np.array([[2.0, 0.0]]),
-        )
-        obj2 = ObjectiveBundle(
-            value=lambda x: (x[1] - 0.5) ** 2,
-            grad=lambda x: np.array([2.0 * (x[1] - 0.5)]),
-            hess=lambda x: np.array([[0.0, 2.0]]),
-        )
-        prob = GnepProblem(
-            [PlayerSpec(1, obj1, h=budget()), PlayerSpec(1, obj2, h=budget())],
-            shared_constraints=True,
-        )
-        report = solve_variational(prob, np.zeros(2), OuterConfig())
-        assert report.status is Status.SOLVED_KKT
-        np.testing.assert_allclose(report.x, [0.75, 0.25], atol=1e-6)
-        assert report.multipliers.lam[0].shape == (0,)
-        np.testing.assert_allclose(report.multipliers.mu[0], [0.5], atol=1e-6)
-        assert report.multipliers.mu[0] is report.multipliers.mu[1]
-
-    def test_mixed_groups_merge(self):
-        obj = ObjectiveBundle(
-            value=lambda x: (x[0] - 2.0) ** 2,
-            grad=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-            hess=lambda x: np.array([[2.0]]),
-        )
-        g = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0] - 1.5]),
-            grad=lambda x: np.array([[1.0]]), hess=lambda x: np.zeros((1, 1, 1)),
-        )
-        h = ConstraintBundle(
-            count=1, value=lambda x: np.array([x[0] - 1.0]),
-            grad=lambda x: np.array([[1.0]]), hess=lambda x: np.zeros((1, 1, 1)),
-        )
-        prob = GnepProblem([PlayerSpec(1, obj, g=g, h=h)])
-        merged = fully_penalized(prob)
-        assert merged.players[0].g_count == 2
-        np.testing.assert_array_equal(
-            merged.g_val(0, np.zeros(1)), [-1.5, -1.0]
-        )
-        report = solve(prob, np.zeros(1))
-        assert report.status is Status.SOLVED_KKT
-        assert abs(report.x[0] - 1.0) <= 1e-6
-
-
 class TestConfigValidation:
     def test_bad_tau(self, duopoly):
         with pytest.raises(ConfigError):
@@ -490,6 +383,19 @@ class TestConfigValidation:
     def test_per_player_tau_general(self, duopoly):
         with pytest.raises(ConfigError):
             solve(duopoly, np.zeros(2), OuterConfig(tau=[0.1, 0.2]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("u_max", np.nan), ("rho0", np.inf), ("eps", np.inf), ("gamma", np.inf),
+    ])
+    def test_non_finite_values_rejected(self, duopoly, field, value):
+        # NaN and inf pass plain sign tests; u_max = nan gave a false SolvedKKT
+        with pytest.raises(ConfigError):
+            solve(duopoly, np.zeros(2), OuterConfig(**{field: value}))
+
+    def test_infinite_u_max_turns_the_safeguard_off(self, duopoly):
+        report = solve_variational(duopoly, np.zeros(2), OuterConfig(u_max=np.inf))
+        assert report.status is Status.SOLVED_KKT
+        np.testing.assert_allclose(report.x, [0.75, 0.25], atol=1e-6)
 
 
 def counted(problem):
@@ -543,6 +449,31 @@ class TestEvaluateOnce:
             # the shared constraints are evaluated once per point, by player 0
             assert not [c for c in calls if c[0] in ("g.value", "g.grad") and c[1] >= 1]
         assert Counter(tag for tag, _, _ in calls) == self.TOTALS[name, mode]
+
+    @pytest.mark.parametrize("name, mode", list(TOTALS))
+    def test_cli_report_reuses_the_solve_evaluation(self, name, mode, tmp_path, monkeypatch):
+        prob, calls = counted(problems.by_name(name))
+        monkeypatch.setattr(cli, "resolve_problem", lambda spec: prob)
+        solved_at = []
+        for method in ("solve", "solve_variational"):
+            def logged(*args, method=getattr(cli, method), **kwargs):
+                report = method(*args, **kwargs)
+                solved_at.append(len(calls))
+                return report
+
+            monkeypatch.setattr(cli, method, logged)
+        code = cli.run(cli.RunConfig(problem=name, mode=mode, report=str(tmp_path / "r.txt")))
+        assert code == 0
+        repeated = [c[:2] for c, k in Counter(calls).items() if k > 1]
+        assert repeated == []
+        report_calls = Counter(c[:2] for c in calls[solved_at[0]:])
+        if mode == "general":
+            assert report_calls == {}
+        else:
+            # diagnose checks each player's own constraints; player 0's are
+            # the shared ones the solve already evaluated
+            others = range(1, prob.num_players)
+            assert report_calls == {(tag, nu): 1 for tag in ("g.value", "g.grad") for nu in others}
 
 
 def hessian_variant(problem, make):

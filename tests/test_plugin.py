@@ -173,6 +173,11 @@ class TestParseErrors:
         with pytest.raises(PluginError, match="player section"):
             parse_problem_text("players 1\ndims 1\ng 1 (1)\n")
 
+    def test_kept_constraint_line_rejected(self):
+        text = "players 1\ndims 1\nplayer 1\ntheta 1 (2)\nh 1 (1)  -1 (0)\n"
+        with pytest.raises(PluginError, match="line 5: .*as a 'g' line"):
+            parse_problem_text(text, source="kept.gnep")
+
     def test_duplicate_theta(self):
         text = "players 1\ndims 1\nplayer 1\ntheta 1 (1)\ntheta 1 (2)\n"
         with pytest.raises(PluginError, match="duplicate theta"):

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from gnepalm.diagnostics import PointClass, diagnose
 from gnepalm.model import ConstraintBundle, GnepProblem, ObjectiveBundle, PlayerSpec
-from gnepalm.outer import Status, solve, solve_variational
+from gnepalm.outer import OuterConfig, Status, solve, solve_variational
 from gnepalm.plugin import PluginError, parse_problem_text
+from gnepalm.problems import OracleConfig, OracleVerdict, best_response_check
 
 # Fixed example order and no example database, so every run checks the same cases.
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -69,6 +70,25 @@ def test_monotone_budget_games_are_solved(size, seed, shift):
         assert report.status is Status.SOLVED_KKT
         verdict = diagnose(prob, report.x, report.multipliers)
         assert verdict.classification is PointClass.FEASIBLE_KKT
+
+
+@settings(PROPERTY, max_examples=12)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 2)), seeds, st.floats(0.0, 3.0))
+def test_solved_points_pass_the_best_response_oracle(size, seed, shift):
+    N, d = size
+    n = N * d
+    budget = linear_constraints(np.ones((n, 1)), np.array([1.0]))
+    prob = monotone_game(N, d, seed, shift, budget)
+    cfg = OuterConfig()
+    for method in (solve, solve_variational):
+        report = method(prob, np.zeros(n), cfg)
+        assert report.status is Status.SOLVED_KKT
+        # a grid over a box of +-1 around each player's block
+        box = tuple(
+            tuple((v - 1.0, v + 1.0) for v in report.x[prob.block_slice(nu)]) for nu in range(N)
+        )
+        oracle = OracleConfig(bounds=box, resolution=41, feas_tol=cfg.eps)
+        assert best_response_check(prob, report.x, oracle).verdict is OracleVerdict.EQUILIBRIUM
 
 
 @settings(PROPERTY, max_examples=10)
