@@ -59,6 +59,9 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``M`` is not square, not symmetric, or ``M`` or ``rhs`` has a
+        non-finite entry.
     NotPositiveDefiniteError
         If the factorization encounters a non-positive pivot.
     """
@@ -68,9 +71,18 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if rhs.shape != (M.shape[0],):
         raise ValueError("right-hand side length must match the matrix")
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 1.0)
+    # NaN or inf anywhere in M makes its largest magnitude NaN or inf.
+    peak = float(np.abs(M).max()) if M.size else 0.0
+    if not (math.isfinite(peak) and np.isfinite(rhs).all()):
+        raise ValueError("matrix and right-hand side must be finite")
+    scale = max(1.0, peak)
     if M.size and float(np.abs(M - M.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
+    return _cholesky_solve(M, rhs)
+
+
+def _cholesky_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky solve of ``M x = rhs``; reads only the lower triangle of ``M``."""
     try:
         factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -85,8 +97,12 @@ def lm_step(V: np.ndarray, Fx: np.ndarray, alpha: float) -> np.ndarray:
     fnorm = float(np.linalg.norm(Fx))
     if fnorm == 0.0:
         return np.zeros(V.shape[1])
-    M = V.T @ V + (alpha * fnorm) * np.eye(V.shape[1])
-    return spd_solve(M, -(V.T @ Fx))
+    n = V.shape[1]
+    M = V.T @ V
+    # Same sum as V.T @ V + (alpha*fnorm) * eye(n) on the diagonal, without the n x n temporaries.
+    M.flat[:: n + 1] += alpha * fnorm
+    # VᵀV plus a diagonal is symmetric, so spd_solve's symmetry check cannot fire here.
+    return _cholesky_solve(M, -(V.T @ Fx))
 
 
 @dataclass(frozen=True)
@@ -107,8 +123,14 @@ class LmConfig:
             raise ValueError("need 0 < decrease_factor < 1 < increase_factor")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
+        if not math.isfinite(self.increase_factor):
+            raise ValueError("increase_factor must be finite")
+        if not 0.0 <= self.alpha_floor < math.inf:
+            raise ValueError("alpha_floor must be finite and nonnegative")
+        if self.max_iter < 0 or self.max_inner_tries < 0:
+            raise ValueError("max_iter and max_inner_tries must be nonnegative")
 
 
 class LmStatus(Enum):

@@ -40,6 +40,20 @@ class TestSpdSolve:
         with pytest.raises(ValueError):
             spd_solve(M, np.ones(2))
 
+    @pytest.mark.parametrize(
+        "M, rhs",
+        [
+            ([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0]),
+            ([[np.nan]], [1.0]),
+            ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [1.0, -np.inf]),
+        ],
+    )
+    def test_non_finite_rejected(self, M, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            spd_solve(np.array(M), np.array(rhs))
+
 
 class TestLmStep:
     def test_scalar_case(self):
@@ -59,6 +73,20 @@ class TestLmStep:
             d = lm_step(V, F, alpha)
             M = V.T @ V + alpha * np.linalg.norm(F) * np.eye(4)
             assert np.linalg.norm(M @ d + V.T @ F) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 4, 50, 400])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_identical_to_dense_damped_solve(self, rng, n, layout):
+        base = rng.standard_normal((2 * n, 3 * n))
+        V = {"C": base[:n, :n].copy(), "F": np.asfortranarray(base[:n, :n]),
+             "strided": base[::2, ::3]}[layout]
+        F = rng.standard_normal(n)
+        a = float(rng.uniform(0.01, 10))
+        V0, F0 = V.copy(), F.copy()
+        d = lm_step(V, F, a)
+        ref = spd_solve(V.T @ V + a * np.linalg.norm(F) * np.eye(n), -(V.T @ F))
+        assert np.array_equal(d, ref)
+        assert np.array_equal(V, V0) and np.array_equal(F, F0)
 
     def test_replay_determinism(self, rng):
         V = rng.standard_normal((5, 5))
@@ -196,3 +224,27 @@ class TestLmSolve:
             LmConfig(decrease_factor=1.5)
         with pytest.raises(ValueError):
             LmConfig(eps=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"alpha0": np.nan},
+            {"alpha0": np.inf},
+            {"increase_factor": np.inf},
+            {"alpha_floor": np.nan},
+            {"alpha_floor": np.inf},
+            {"alpha_floor": -1e-16},
+            {"max_iter": -1},
+            {"max_inner_tries": -1},
+        ],
+    )
+    def test_non_finite_or_negative_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            LmConfig(**bad)
+
+    def test_config_edge_values_accepted(self):
+        A = np.array([[2.0, 0.3], [0.1, 1.0]])
+        sys_ = linear_system(A, np.array([1.0, -2.0]))
+        assert lm_solve(sys_, np.zeros(2)).status is LmStatus.CONVERGED
+        res = lm_solve(sys_, np.zeros(2), LmConfig(max_iter=0, alpha_floor=0.0))
+        assert res.status is LmStatus.MAX_ITER and res.iterations == 0
