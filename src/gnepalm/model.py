@@ -226,24 +226,34 @@ class GnepProblem:
         self._check_player(nu)
         spec = self.players[nu]
         return self._hess(
-            nu, x, spec.objective.hess, (spec.dim, self.n), "theta.hess", self.theta_grad, grad_x
+            nu, x, spec.objective, "theta", (spec.dim, self.n), self.theta_grad, grad_x
         )
 
-    def _hess(self, nu: int, x, hess, shape: tuple, label: str, grad, base=None) -> np.ndarray:
-        # The callback ``hess`` when given, else forward differences of the
-        # own-block first derivative ``grad(nu, x)`` along every coordinate;
-        # a caller that holds ``base = grad(nu, x)`` spares that call.
+    def _hess(
+        self, nu: int, x, bundle, label: str, shape: tuple, grad, base=None, rows=slice(None)
+    ) -> np.ndarray:
+        # The callback ``bundle.hess`` when given.  Otherwise forward differences
+        # of the raw ``bundle.grad`` along every coordinate, taken over the own
+        # ``rows`` of each output.  ``base`` is the checked ``grad(nu, x)``, so
+        # its shape is the callback's contract; a caller that holds it spares
+        # that call.  Each coordinate gets a fresh perturbed copy of ``x``.
         x = self.point(x)
-        if hess is not None:
-            return self._checked(hess(x), shape, nu, label)
+        if bundle.hess is not None:
+            return self._checked(bundle.hess(x), shape, nu, f"{label}.hess")
         if base is None:
             base = grad(nu, x)
-        out = np.empty(shape)
+        label = f"{label}.grad"
+        block = np.empty((self.n, *base.shape))
         for j in range(self.n):
             xp = x.copy()
             xp[j] += FD_HESS_STEP
-            out[..., j] = (grad(nu, xp) - base) / FD_HESS_STEP
-        return out
+            out = np.asarray(bundle.grad(xp), dtype=float)
+            if out.shape != base.shape:
+                self._checked(out, base.shape, nu, label)  # raises the shape error
+            block[j] = out
+        self._checked(block, block.shape, nu, label)  # finiteness, once per Hessian
+        # Reversing the axes (n, rows, count) gives the row-block layout (count, rows, n).
+        return np.ascontiguousarray(((block[:, rows] - base[rows]) / FD_HESS_STEP).T)
 
     def g_val(self, nu: int, x: np.ndarray) -> np.ndarray:
         self._check_player(nu)
@@ -270,11 +280,9 @@ class GnepProblem:
         spec = self.players[nu]
         if spec.g_count == 0:
             return np.zeros((0, spec.dim, self.n))
-        rows = self.block_slice(nu)
         return self._hess(
-            nu, x, spec.g.hess, (spec.g.count, spec.dim, self.n), "g.hess",
-            lambda nu, z: self.g_grad(nu, z)[rows, :].T,
-            None if grad_x is None else grad_x[rows, :].T,
+            nu, x, spec.g, "g", (spec.g.count, spec.dim, self.n), self.g_grad, grad_x,
+            self.block_slice(nu),
         )
 
 

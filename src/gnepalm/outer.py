@@ -28,7 +28,7 @@ import numpy as np
 
 from .alcore import PenaltyState, assemble_F, generalized_jacobian, shifted_multiplier
 from .diagnostics import EPS_FEAS, feasibility_gnep_residual, nnls
-from .model import Evaluation, GnepProblem, MultiplierSet, evaluator
+from .model import Evaluation, EvaluationError, GnepProblem, MultiplierSet, evaluator
 from .subsolver import LmConfig, LmResult, LmStatus, SemismoothSystem, lm_solve
 
 __all__ = [
@@ -282,7 +282,11 @@ def _default_subsolver(at=None):
             residual=lambda x: assemble_F(problem, point(x), state),
             jacobian=lambda x: generalized_jacobian(problem, point(x), state),
         )
-        return lm_solve(system, x_start, LmConfig(eps=tol))
+        try:
+            return lm_solve(system, x_start, LmConfig(eps=tol))
+        except EvaluationError:
+            # x_start's callbacks were evaluated before this call, so F's own arithmetic overflowed.
+            return LmResult(np.array(x_start, dtype=float), 0, math.inf, LmStatus.SAFEGUARD_STOP)
 
     return run
 

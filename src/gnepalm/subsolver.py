@@ -178,13 +178,17 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
     re-solves it has grown by ``increase_factor**j`` and is kept.  The
     iteration reports ``SAFEGUARD_STOP`` when the re-solve loop drives the
     step below ``eps / ||V||_F`` or exceeds ``max_inner_tries``, and
-    ``MAX_ITER`` when the iteration budget runs out.  Only an evaluation
-    error at ``x0`` itself propagates.
+    ``MAX_ITER`` when the iteration budget runs out.  A Jacobian that
+    cannot be evaluated at the current iterate is a ``SAFEGUARD_STOP``
+    there.  Only an evaluation error at ``x0`` itself propagates, and a
+    residual that is not finite at ``x0`` raises one.
     """
     if cfg is None:
         cfg = LmConfig()
     x = np.asarray(x0, dtype=float).copy()
     fvec = np.asarray(system.residual(x), dtype=float)
+    if not np.isfinite(fvec).all():
+        raise EvaluationError("residual is not finite at the start point")
     fnorm = float(np.linalg.norm(fvec))
     alpha = cfg.alpha0
     steps: list[LmStepLog] = []
@@ -192,7 +196,11 @@ def lm_solve(system: SemismoothSystem, x0: np.ndarray, cfg: LmConfig | None = No
     for k in range(cfg.max_iter):
         if fnorm <= cfg.eps:
             return LmResult(x, k, fnorm, LmStatus.CONVERGED, steps)
-        V = np.asarray(system.jacobian(x), dtype=float)
+        try:
+            V = np.asarray(system.jacobian(x), dtype=float)
+        except EvaluationError:
+            # No Jacobian here (e.g. a forward-difference point off the domain): stop at x.
+            return LmResult(x, k, fnorm, LmStatus.SAFEGUARD_STOP, steps)
         vfro = float(np.linalg.norm(V, "fro"))
         step_floor = math.inf if vfro == 0.0 else cfg.eps / vfro
         alpha_in = alpha

@@ -3,6 +3,7 @@ import pytest
 
 from gnepalm import problems
 from gnepalm.model import (
+    FD_HESS_STEP,
     ConstraintBundle,
     EvaluationError,
     GnepProblem,
@@ -140,6 +141,73 @@ class TestValidateProblem:
         assert report.passed, str(report)
 
 
+FD_N = 5  # joint length of the Hessian-free games below: player dims (2, 3)
+# Player 1's own gradient shape for each forward-differenced callback.
+FD_OUT = {"theta": (3,), "g": (FD_N, 2)}
+
+
+def hessian_free_game(theta_grads, g_grad, shared=False):
+    """Players of dims (2, 3), two constraints each, no ``hess`` callbacks."""
+    g = ConstraintBundle(count=2, value=lambda x: np.zeros(2), grad=g_grad)
+    players = [
+        PlayerSpec(dim, ObjectiveBundle(value=lambda x: 0.0, grad=grad), g=g)
+        for dim, grad in zip((2, 3), theta_grads)
+    ]
+    return GnepProblem(players, shared_constraints=shared)
+
+
+def with_player1_grad(kind, grad):
+    """A Hessian-free game whose player 1 has ``grad`` as its ``kind`` gradient."""
+    zeros = {k: (lambda x, shape=shape: np.zeros(shape)) for k, shape in FD_OUT.items()}
+    zeros[kind] = grad
+    return hessian_free_game([lambda x: np.zeros(2), zeros["theta"]], zeros["g"])
+
+
+def fd_game(returns, shared):
+    """Nonlinear Hessian-free game whose gradients come back as ``returns``."""
+    own = [slice(0, 2), slice(2, 5)]
+    theta = [lambda x, r=r: np.sin(x[r]) * (x @ x) + x[r] ** 3 for r in own]
+
+    def g_grad(x):
+        return np.column_stack([2 * x + np.cos(x), np.full(FD_N, 3 * x.sum() ** 2)])
+
+    if returns == "list":
+        theta = [lambda x, f=f: f(x).tolist() for f in theta]
+        g = lambda x: g_grad(x).tolist()
+    elif returns == "int":
+        theta = [lambda x, f=f: np.floor(1e9 * f(x)).astype(np.int64) for f in theta]
+        g = lambda x: np.floor(1e9 * g_grad(x)).astype(np.int64)
+    elif returns == "view":
+        # Views of the argument itself.
+        theta = [lambda x, r=r: x[r] for r in own]
+        g = lambda x: np.broadcast_to(x[:, None], (FD_N, 2))
+    else:
+        g = g_grad
+    return hessian_free_game(theta, g, shared)
+
+
+def per_call_fd_hess(problem, kind, nu, x, grad_x=None):
+    """Reference: forward differences with one checked gradient call per coordinate."""
+    x = problem.point(x)
+    spec = problem.players[nu]
+    if kind == "theta":
+        shape = (spec.dim, problem.n)
+        grad, base = problem.theta_grad, grad_x
+    else:
+        rows = problem.block_slice(nu)
+        shape = (spec.g_count, spec.dim, problem.n)
+        grad = lambda nu, z: problem.g_grad(nu, z)[rows, :].T
+        base = None if grad_x is None else grad_x[rows, :].T
+    if base is None:
+        base = grad(nu, x)
+    out = np.empty(shape)
+    for j in range(problem.n):
+        xp = x.copy()
+        xp[j] += FD_HESS_STEP
+        out[..., j] = (grad(nu, xp) - base) / FD_HESS_STEP
+    return out
+
+
 class TestHessianFallback:
     def test_theta_fd_fallback_matches_analytic(self, rng):
         def value(x):
@@ -173,6 +241,56 @@ class TestHessianFallback:
         np.testing.assert_allclose(
             prob.g_hess(0, x), np.array([[[2.0, 0.0]]]), atol=1e-5
         )
+
+
+    @pytest.mark.parametrize("returns", ["array", "list", "int", "view"])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_bit_identical_to_per_call_loop(self, returns, shared, given, rng):
+        prob = fd_game(returns, shared)
+        x = rng.standard_normal(FD_N)
+        for nu in range(prob.num_players):
+            for kind in FD_OUT:
+                grad_x = getattr(prob, f"{kind}_grad")(nu, x) if given else None
+                hess = getattr(prob, f"{kind}_hess")(nu, x, grad_x)
+                assert hess.flags.c_contiguous
+                assert np.array_equal(hess, per_call_fd_hess(prob, kind, nu, x, grad_x))
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    def test_callback_sees_fresh_perturbed_copies(self, kind, rng):
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return np.zeros(FD_OUT[kind])
+
+        prob = with_player1_grad(kind, recording)
+        x = rng.standard_normal(FD_N)
+        x_before = x.copy()
+        getattr(prob, f"{kind}_hess")(1, x, np.zeros(FD_OUT[kind]))
+        assert len(seen) == FD_N
+        assert len({id(z) for z in seen}) == FD_N and all(z is not x for z in seen)
+        for j, z in enumerate(seen):
+            xp = x_before.copy()
+            xp[j] += FD_HESS_STEP
+            assert np.array_equal(z, xp)
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    def test_non_finite_perturbed_output_raises(self, kind):
+        out = np.ones(FD_OUT[kind])
+        prob = with_player1_grad(kind, lambda z: out * np.nan if z[3] > 0 else out)
+        with pytest.raises(
+            EvaluationError, match=f"player 1: callback '{kind}.grad' returned non-finite"
+        ):
+            getattr(prob, f"{kind}_hess")(1, np.zeros(FD_N))
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    def test_wrong_shaped_perturbed_output_raises(self, kind):
+        out = np.ones(FD_OUT[kind])
+        prob = with_player1_grad(kind, lambda z: out[:-1] if z[3] > 0 else out)
+        with pytest.raises(ProblemError, match=f"player 1: callback '{kind}.grad' returned shape"):
+            getattr(prob, f"{kind}_hess")(1, np.zeros(FD_N))
 
 
 def test_multiplier_set_zeros(duopoly):

@@ -344,6 +344,30 @@ class TestSubsolverInterface:
         assert report.status is Status.SUBSOLVER_FAILURE
         assert report.message
 
+    def test_failed_jacobian_reported_as_subsolver_failure(self):
+        # grad is NaN for x1 > 0, so the forward difference along x1 fails at the start
+        def grad(x):
+            return np.array([2 * (x[0] - 1), np.nan if x[1] > 0 else 2 * x[1]])
+
+        obj = ObjectiveBundle(value=lambda x: (x[0] - 1) ** 2 + x[1] ** 2, grad=grad)
+        report = solve(GnepProblem([PlayerSpec(2, obj)]), np.zeros(2))
+        assert report.status is Status.SUBSOLVER_FAILURE
+        assert report.message.startswith(
+            "inner solver stopped (safeguard_stop) with residual 2.000e+00"
+        )
+        np.testing.assert_array_equal(report.x, np.zeros(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_start_residual_reported_as_subsolver_failure(self):
+        # Finite callbacks whose penalized residual overflows at the start point
+        prob = single_player(
+            theta=lambda t: t**2, grad=lambda t: 2 * t, hess=lambda t: 2.0,
+            g=lambda t: 1e200 * (t - 1.0), g_grad=lambda t: 1e200, g_hess=lambda t: 0.0,
+        )
+        report = solve(prob, np.array([10.0]))
+        assert report.status is Status.SUBSOLVER_FAILURE
+        assert "(safeguard_stop) with residual inf" in report.message
+
     def test_soft_failure_accepted_within_slack(self, duopoly):
         from gnepalm.outer import _default_subsolver
 

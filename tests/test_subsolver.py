@@ -219,6 +219,27 @@ class TestLmSolve:
         with pytest.raises(EvaluationError):
             lm_solve(sys_, np.zeros(1))
 
+    def test_non_finite_start_residual_raises(self):
+        sys_ = SemismoothSystem(
+            residual=lambda x: np.array([np.inf, 1.0]) + x, jacobian=lambda x: np.eye(2)
+        )
+        with pytest.raises(EvaluationError):
+            lm_solve(sys_, np.zeros(2))
+
+    def test_failed_jacobian_stops_at_current_iterate(self):
+        # F = x - 1 from x = 3: the first step lands at 7/3, where V cannot be evaluated
+        def jacobian(x):
+            if x[0] < 2.5:
+                raise EvaluationError("no derivative here")
+            return np.eye(1)
+
+        sys_ = SemismoothSystem(residual=lambda x: x - 1.0, jacobian=jacobian)
+        res = lm_solve(sys_, np.array([3.0]))
+        assert res.status is LmStatus.SAFEGUARD_STOP
+        assert res.iterations == 1 and len(res.steps) == 1
+        assert res.x[0] < 2.5
+        assert res.final_residual == res.steps[0].residual_after == abs(res.x[0] - 1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LmConfig(decrease_factor=1.5)
