@@ -137,23 +137,32 @@ def generalized_jacobian(
     ev = Evaluation.of(problem, x, state.shared)
     n = problem.n
     V = np.empty((n, n))
+    # A shared state gives every player of a slot the same g, rho and u, so
+    # the slot's (rho, G[:, active], s) is worked out once; otherwise per player.
+    terms: dict = {}
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
         V[rows, :] = problem.theta_hess(nu, ev.x, ev.theta_grad[nu])
         g = ev.g[nu]
         if g.size == 0:
             continue
-        rho = state.rho_of(nu)
-        t = state.u_of(nu) + rho * g
-        active = t > 0.0
-        if active.any():
-            G = ev.g_grad[nu]
-            V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
-        s = np.maximum(0.0, t)
-        if s.any():
+        key = ev.slot[nu] if state.shared else nu
+        if key not in terms:
+            rho = state.rho_of(nu)
+            t = state.u_of(nu) + rho * g
+            active = t > 0.0
+            s = np.maximum(0.0, t)
+            Ga = ev.g_grad[nu][:, active] if active.any() else None
+            terms[key] = (rho, Ga, s if s.any() else None)
+        rho, Ga, s = terms[key]
+        if Ga is not None:
+            V[rows, :] += rho * (Ga[rows] @ Ga.T)
+        if s is not None:
             # In variational mode ev.g_grad[nu] is player 0's, not player nu's.
             G_x = ev.g_grad[nu] if ev.slot[nu] == nu else None
-            V[rows, :] += np.tensordot(s, problem.g_hess(nu, ev.x, G_x), axes=1)
+            H = problem.g_hess(nu, ev.x, G_x)
+            # The product np.tensordot(s, H, axes=1) forms, without its bookkeeping.
+            V[rows, :] += np.dot(s.reshape(1, -1), H.reshape(s.size, -1)).reshape(H.shape[1:])
     return V
 
 

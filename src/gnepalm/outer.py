@@ -303,6 +303,13 @@ def _rho_stalled(trace: list[IterationRecord], state: PenaltyState) -> bool:
     return (old - new) < STALL_RTOL * old
 
 
+def _violation_stationary(
+    problem: GnepProblem, ev: Evaluation, res: tuple[float, float, float], cfg: OuterConfig
+) -> bool:
+    """Whether ``ev`` is infeasible but stationary for the constraint-violation game."""
+    return res[0] > cfg.eps and np.max(feasibility_gnep_residual(problem, ev)) <= EPS_FEAS
+
+
 def _run(
     problem: GnepProblem,
     x0: np.ndarray,
@@ -351,12 +358,19 @@ def _run(
         ev = at(x)
         if inner.status is not LmStatus.CONVERGED:
             if inner.final_residual > eps_k * SOFT_ACCEPT_FACTOR:
-                status = Status.SUBSOLVER_FAILURE
+                res = stopping_residuals(problem, ev, [lam[s] for s in slot])
                 message = (
                     f"inner solver stopped ({inner.status.value}) with residual "
                     f"{inner.final_residual:.3e} above the acceptable slack"
                 )
-                res = stopping_residuals(problem, ev, [lam[s] for s in slot])
+                if _violation_stationary(problem, ev, res, cfg):
+                    status = Status.INFEASIBLE_STATIONARY
+                    message += (
+                        ", at an infeasible point that is stationary for the "
+                        "constraint-violation game"
+                    )
+                else:
+                    status = Status.SUBSOLVER_FAILURE
                 break
         lam = update_multipliers(problem, ev, state)
         vmeas_new = _vmeasure(ev, lam)
@@ -385,7 +399,7 @@ def _run(
         if max(res) <= cfg.eps:
             # converged exactly on the last allowed iteration
             status = Status.SOLVED_KKT
-        elif res[0] > cfg.eps and np.max(feasibility_gnep_residual(problem, ev)) <= EPS_FEAS:
+        elif _violation_stationary(problem, ev, res, cfg):
             status = Status.INFEASIBLE_STATIONARY
             message = (
                 "iteration budget exhausted at an infeasible point that is "

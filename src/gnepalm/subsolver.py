@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import EvaluationError
 
@@ -71,27 +71,42 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if rhs.shape != (M.shape[0],):
         raise ValueError("right-hand side length must match the matrix")
+    if not M.size:
+        return np.zeros(0)
     # NaN or inf anywhere in M makes its largest magnitude NaN or inf.
-    peak = float(np.abs(M).max()) if M.size else 0.0
+    peak = float(np.abs(M).max())
     if not (math.isfinite(peak) and np.isfinite(rhs).all()):
         raise ValueError("matrix and right-hand side must be finite")
-    scale = max(1.0, peak)
-    if M.size and float(np.abs(M - M.T).max()) > 1e-12 * scale:
+    if float(np.abs(M - M.T).max()) > 1e-12 * max(1.0, peak):
         raise ValueError("matrix is not symmetric")
-    return _cholesky_solve(M, rhs)
+    # The Fortran-ordered copy that the factorization overwrites.
+    return _cholesky_solve(np.array(M, order="F"), rhs)
 
 
 def _cholesky_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Lower Cholesky solve of ``M x = rhs``; reads only the lower triangle of ``M``."""
-    try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    """Lower Cholesky solve of ``M x = rhs`` for a Fortran-ordered ``M``.
+
+    LAPACK ``dpotrf`` factors ``M`` in place, reading only its lower
+    triangle, and ``dpotrs`` solves with the factor.  A C-ordered matrix
+    ``A`` can be passed as ``A.T`` when ``A`` is exactly symmetric: that is
+    the same matrix, already in Fortran order, so nothing is copied.
+    """
+    factor, info = dpotrf(M, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return dpotrs(factor, rhs, lower=1)[0]
 
 
 def lm_step(V: np.ndarray, Fx: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve ``(V^T V + alpha*||F|| I) d = -V^T F`` for the trial step ``d``."""
+    """Solve ``(V^T V + alpha*||F|| I) d = -V^T F`` for the trial step ``d``.
+
+    numpy forms ``V.T @ V`` with a symmetric rank-k update and mirrors the
+    computed triangle, so ``M`` is exactly symmetric.  Adding the damping to
+    its diagonal keeps it so, and ``M.T`` is then ``M`` in Fortran order:
+    it is factored in place, without a copy or a symmetry re-check.
+    """
     V = np.asarray(V, dtype=float)
     Fx = np.asarray(Fx, dtype=float)
     fnorm = float(np.linalg.norm(Fx))
@@ -101,8 +116,7 @@ def lm_step(V: np.ndarray, Fx: np.ndarray, alpha: float) -> np.ndarray:
     M = V.T @ V
     # Same sum as V.T @ V + (alpha*fnorm) * eye(n) on the diagonal, without the n x n temporaries.
     M.flat[:: n + 1] += alpha * fnorm
-    # VᵀV plus a diagonal is symmetric, so spd_solve's symmetry check cannot fire here.
-    return _cholesky_solve(M, -(V.T @ Fx))
+    return _cholesky_solve(M.T, -(V.T @ Fx))
 
 
 @dataclass(frozen=True)

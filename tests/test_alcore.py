@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from gnepalm.alcore import (
     shared_penalty_term,
     shifted_multiplier,
 )
-from gnepalm.model import ProblemError
+from gnepalm.model import (
+    ConstraintBundle,
+    Evaluation,
+    GnepProblem,
+    ObjectiveBundle,
+    PlayerSpec,
+    ProblemError,
+)
 
 
 class TestShiftedMultiplier:
@@ -204,6 +213,116 @@ class TestGeneralizedJacobian:
         x = np.array([0.0])  # u + rho*g = 1 - 1 = 0 exactly
         # The exactly-zero component is treated as inactive: no rank-one term.
         np.testing.assert_array_equal(generalized_jacobian(prob, x, state), [[0.0]])
+
+
+def reference_jacobian(problem, x, state):
+    """The generalized Jacobian as the per-player loop with np.tensordot built it."""
+    ev = Evaluation.of(problem, x, state.shared)
+    n = problem.n
+    V = np.empty((n, n))
+    for nu in range(problem.num_players):
+        rows = problem.block_slice(nu)
+        V[rows, :] = problem.theta_hess(nu, ev.x, ev.theta_grad[nu])
+        g = ev.g[nu]
+        if g.size == 0:
+            continue
+        rho = state.rho_of(nu)
+        t = state.u_of(nu) + rho * g
+        active = t > 0.0
+        if active.any():
+            G = ev.g_grad[nu]
+            V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
+        s = np.maximum(0.0, t)
+        if s.any():
+            G_x = ev.g_grad[nu] if ev.slot[nu] == nu else None
+            V[rows, :] += np.tensordot(s, problem.g_hess(nu, ev.x, G_x), axes=1)
+    return V
+
+
+def quadratic_budget_game(dims, targets, analytic, layout, calls, seed=7):
+    """Shared quadratic constraints whose values at the returned ``x`` are ``targets``.
+
+    Every callback counts its calls in ``calls``; ``layout`` is the memory
+    order of the ``g.grad`` output.
+    """
+    rng = np.random.default_rng(seed)
+    n, count = sum(dims), len(targets)
+    P = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+    Q = rng.standard_normal((count, n, n))
+    Q = Q + Q.transpose(0, 2, 1)
+    a = rng.standard_normal((n, count))
+    x = rng.standard_normal(n)
+    b = 0.5 * np.einsum("i,kij,j->k", x, Q, x) + x @ a - np.asarray(targets)
+    order = {"C": np.ascontiguousarray, "F": np.asfortranarray}[layout]
+
+    def counted(name, fn):
+        def call(z):
+            calls[name] += 1
+            return fn(z)
+        return call
+
+    players, start = [], 0
+    for nu, dim in enumerate(dims):
+        rows = slice(start, start + dim)
+        start += dim
+        objective = ObjectiveBundle(
+            value=counted(f"theta/{nu}", lambda z, rows=rows: 0.5 * z[rows] @ (P[rows] @ z)),
+            grad=counted(f"theta.grad/{nu}", lambda z, rows=rows: P[rows] @ z + c[rows]),
+            hess=counted(f"theta.hess/{nu}", lambda z, rows=rows: P[rows]),
+        )
+        g = ConstraintBundle(
+            count=count,
+            value=counted(f"g/{nu}", lambda z: 0.5 * np.einsum("i,kij,j->k", z, Q, z) + z @ a - b),
+            grad=counted(f"g.grad/{nu}", lambda z: order(np.einsum("kij,j->ik", Q, z) + a)),
+            hess=counted(f"g.hess/{nu}", lambda z, rows=rows: Q[:, rows, :]) if analytic else None,
+        )
+        players.append(PlayerSpec(dim, objective, g=g))
+    return GnepProblem(players, shared_constraints=True), x
+
+
+class TestJacobianBitIdentity:
+    RHOS = (10.0, 0.3, 3.0, 1e3)
+
+    @pytest.mark.parametrize("mode", ["variational", "general", "shared_evaluation_general_state"])
+    @pytest.mark.parametrize("point", ["mixed", "mostly_inactive"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 4, 2)])
+    def test_matches_the_per_player_loop(self, dims, analytic, layout, point, mode):
+        # Constraint 0 is violated ("mixed") or slack; constraint 1 sits exactly
+        # on the activity boundary u + rho*g = 0; constraint 2 is inactive.
+        targets = (0.7, -0.5, -2.0) if point == "mixed" else (-0.3, -0.5, -2.0)
+        calls: Counter = Counter()
+        prob, x = quadratic_budget_game(dims, targets, analytic, layout, calls)
+        g = prob.g_val(0, x)
+
+        def u_for(nu, rho):
+            u = np.zeros(len(targets))
+            u[1] = -(rho * g[1])
+            assert u[1] + rho * g[1] == 0.0
+            if point == "mixed":
+                u[0] = 0.3
+            elif nu % 2:
+                u[0] = 0.25 - rho * g[0]  # odd players' slots are active, even ones' are not
+            return u
+
+        N = len(dims)
+        if mode == "variational":
+            state = PenaltyState(u=[u_for(0, 10.0)], rho=[10.0], u_max=1e6, shared=True)
+        else:
+            rhos = self.RHOS[:N]
+            state = PenaltyState(u=[u_for(nu, r) for nu, r in enumerate(rhos)],
+                                 rho=list(rhos), u_max=1e6)
+        # A shared-layout Evaluation read with per-player rho and u.
+        at = Evaluation(prob, x, shared=True) if mode.startswith("shared") else x
+        calls.clear()
+        ref = reference_jacobian(prob, at, state)
+        ref_calls = calls.copy()
+        calls.clear()
+        V = generalized_jacobian(prob, at, state)
+        assert np.array_equal(V, ref)
+        assert calls == ref_calls
 
 
 class TestSharedPenalty:

@@ -93,8 +93,9 @@ def test_solved_points_pass_the_best_response_oracle(size, seed, shift):
 
 @settings(PROPERTY, max_examples=10)
 @given(sizes, seeds, st.floats(0.01, 2.0))
-def test_contradictory_constraints_end_with_a_status(size, seed, gap):
-    # a.x <= b and a.x >= b + gap cannot both hold.
+def test_contradictory_constraints_end_infeasible_stationary(size, seed, gap):
+    # a.x <= b and a.x >= b + gap cannot both hold; the end point is
+    # stationary for the constraint-violation game, and diagnose agrees.
     N, d = size
     n = N * d
     rng = np.random.default_rng(seed)
@@ -105,7 +106,9 @@ def test_contradictory_constraints_end_with_a_status(size, seed, gap):
     prob = monotone_game(N, d, seed, 0.0, pair)
     for method in (solve, solve_variational):
         report = method(prob, np.zeros(n))
-        assert isinstance(report.status, Status)
+        assert report.status is Status.INFEASIBLE_STATIONARY, report.message
+        verdict = diagnose(prob, report.x, report.multipliers)
+        assert verdict.classification is PointClass.INFEASIBLE_STATIONARY
 
 
 WORDS = ["name", "players", "dims", "shared", "x0", "player", "theta", "g", "h", "bogus", "#"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gnepalm.model import EvaluationError
 from gnepalm.subsolver import (
@@ -11,6 +12,20 @@ from gnepalm.subsolver import (
     lm_step,
     spd_solve,
 )
+
+
+def reference_lm_step(V, Fx, alpha):
+    """The damped step as it was computed with scipy's cho_factor and cho_solve."""
+    V = np.asarray(V, dtype=float)
+    Fx = np.asarray(Fx, dtype=float)
+    fnorm = float(np.linalg.norm(Fx))
+    if fnorm == 0.0:
+        return np.zeros(V.shape[1])
+    n = V.shape[1]
+    M = V.T @ V
+    M.flat[:: n + 1] += alpha * fnorm
+    factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, -(V.T @ Fx), check_finite=False)
 
 
 class TestSpdSolve:
@@ -39,6 +54,25 @@ class TestSpdSolve:
         M = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             spd_solve(M, np.ones(2))
+
+    @pytest.mark.parametrize("M, rhs", [(np.ones((2, 3)), np.ones(2)), (np.eye(2), np.ones(3))])
+    def test_shape_mismatch_rejected(self, M, rhs):
+        with pytest.raises(ValueError):
+            spd_solve(M, rhs)
+
+    @pytest.mark.parametrize("n", [2, 6, 50])
+    def test_nearly_symmetric_reads_only_the_lower_triangle(self, rng, n):
+        A = rng.standard_normal((n, n))
+        M = A.T @ A + n * np.eye(n)
+        lower = np.tril(M) + np.tril(M, -1).T
+        # Within spd_solve's symmetry tolerance, but not exactly symmetric.
+        M = lower + np.triu(rng.uniform(0.5, 1.0, (n, n)), 1) * 1e-13 * np.abs(M).max()
+        assert not np.array_equal(M, M.T)
+        rhs = rng.standard_normal(n)
+        d = spd_solve(M, rhs)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), rhs)
+        assert np.array_equal(d, ref)
+        assert np.array_equal(d, spd_solve(lower, rhs))
 
     @pytest.mark.parametrize(
         "M, rhs",
@@ -87,6 +121,23 @@ class TestLmStep:
         ref = spd_solve(V.T @ V + a * np.linalg.norm(F) * np.eye(n), -(V.T @ F))
         assert np.array_equal(d, ref)
         assert np.array_equal(V, V0) and np.array_equal(F, F0)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("layout", ["C", "F", "row_strided", "transposed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 50, 129, 400])
+    def test_bit_identical_to_scipy_cholesky_step(self, rng, n, layout, scale):
+        base = scale * rng.standard_normal((2 * n, n))
+        V = {"C": base[:n].copy(), "F": np.asfortranarray(base[:n]),
+             "row_strided": base[::2], "transposed": base[:n].T}[layout]
+        F = scale * rng.standard_normal(n)
+        a = float(rng.uniform(0.01, 10))
+        # The factorization reads M.T for M, which needs V.T @ V exactly symmetric.
+        assert np.array_equal(V.T @ V, (V.T @ V).T)
+        assert np.array_equal(lm_step(V, F, a), reference_lm_step(V, F, a))
+
+    def test_zero_jacobian_without_damping_is_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            lm_step(np.zeros((3, 3)), np.ones(3), 0.0)
 
     def test_replay_determinism(self, rng):
         V = rng.standard_normal((5, 5))
