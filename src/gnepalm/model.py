@@ -56,7 +56,12 @@ class ObjectiveBundle:
     ``hess(x)`` returns the row block of the full second derivative taken
     first along the own block and then along the whole vector, shape
     ``(dim, n)``.  ``hess`` may be ``None``; a forward-difference fallback
-    on ``grad`` is used instead.
+    on ``grad`` is used instead.  It calls ``grad`` once per coordinate, in
+    coordinate order, each time on a distinct, writable, contiguous row that
+    holds the perturbed point, and reads the outputs after the last call.
+
+    An array that a callback returns is kept as it is, not copied, so the
+    callback must not change it afterwards (a reused output buffer).
     """
 
     value: Callable[[np.ndarray], float]
@@ -72,7 +77,8 @@ class ConstraintBundle:
     Jacobian with respect to the full vector, shape ``(n, count)``; column
     ``i`` is the gradient of component ``i``.  ``hess(x)`` stacks the
     per-component second-derivative row blocks, shape ``(count, dim, n)``;
-    ``None`` enables the forward-difference fallback.
+    ``None`` enables the forward-difference fallback on ``grad``, which
+    calls it as :class:`ObjectiveBundle` describes.
     """
 
     count: int
@@ -236,21 +242,28 @@ class GnepProblem:
         # of the raw ``bundle.grad`` along every coordinate, taken over the own
         # ``rows`` of each output.  ``base`` is the checked ``grad(nu, x)``, so
         # its shape is the callback's contract; a caller that holds it spares
-        # that call.  Each coordinate gets a fresh perturbed copy of ``x``.
+        # that call.  Row j of ``points`` is ``x`` with ``x[j] + FD_HESS_STEP``,
+        # so ``grad`` gets a distinct, writable, contiguous row per coordinate,
+        # in coordinate order; the outputs are stacked after the last call.
         x = self.point(x)
         if bundle.hess is not None:
             return self._checked(bundle.hess(x), shape, nu, f"{label}.hess")
         if base is None:
             base = grad(nu, x)
         label = f"{label}.grad"
-        block = np.empty((self.n, *base.shape))
-        for j in range(self.n):
-            xp = x.copy()
-            xp[j] += FD_HESS_STEP
-            out = np.asarray(bundle.grad(xp), dtype=float)
-            if out.shape != base.shape:
-                self._checked(out, base.shape, nu, label)  # raises the shape error
-            block[j] = out
+        n = self.n
+        points = np.repeat(x[None, :], n, axis=0)
+        points.flat[:: n + 1] += FD_HESS_STEP
+        outs = list(map(bundle.grad, points))
+        try:
+            block = np.array(outs, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric outputs
+            block = None
+        if block is None or block.shape != (n, *base.shape):
+            # Raise the error of the first output, in call order, of the wrong shape.
+            for out in outs:
+                if np.asarray(out, dtype=float).shape != base.shape:
+                    self._checked(out, base.shape, nu, label)
         self._checked(block, block.shape, nu, label)  # finiteness, once per Hessian
         # Reversing the axes (n, rows, count) gives the row-block layout (count, rows, n).
         return np.ascontiguousarray(((block[:, rows] - base[rows]) / FD_HESS_STEP).T)

@@ -3,7 +3,8 @@
 ``bench/tracer.py`` copies every ``PlayerSpec`` field by field (``h``
 included) and wraps module globals of ``gnepalm``; a change there breaks the
 benchmark before any of its own checks run.  One library unit and one CLI
-unit, traced, must pass the benchmark's correctness gate.
+unit, traced, must pass the benchmark's correctness gate.  ``tools/identity.py``
+reads the workloads' units and fingerprints.
 """
 
 import sys
@@ -34,3 +35,17 @@ def test_traced_units_pass_the_gate(tmp_path):
     assert calls["outer.solve"] + calls["outer.solve_variational"] == 2
     assert calls["diagnostics.diagnose"] == 2
     assert calls["subsolver.lm_step"] > 0
+
+
+def test_units_carry_what_the_identity_tool_hashes(tmp_path):
+    # tools/identity.py builds each workload with build(workload, seed, workdir),
+    # runs unit.collect(unit.call()) and hashes Outcome.fingerprint by unit.label.
+    labels = []
+    for workload in ("catalog_cli", "dense400", "fd_ring50"):
+        units, _ = workloads.build(workload, 1, tmp_path)
+        assert units and all(callable(u.call) and callable(u.collect) for u in units)
+        labels += [unit.label for unit in units]
+    assert len(set(labels)) == len(labels)
+    unit = units[0]
+    out = unit.collect(unit.call())
+    assert isinstance(out, workloads.Outcome) and isinstance(out.fingerprint, bytes)

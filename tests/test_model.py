@@ -186,6 +186,57 @@ def fd_game(returns, shared):
     return hessian_free_game(theta, g, shared)
 
 
+def blas_fd_game(n, count, body, form, seed):
+    """Hessian-free game on ``n`` coordinates whose gradients go through BLAS.
+
+    One player when ``n == 1``, else two.  ``body`` picks how each gradient
+    is computed; ``form`` how it comes back: float64, float32, Fortran-ordered
+    (a strided view for the 1-D objective gradient), or the same constant
+    object on every call.  Every body reads the sign of zero entries.
+    """
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((n, n)) / n
+    W = rng.standard_normal((n, count))
+    sign = lambda x: np.copysign(1.0, x)
+    if body == "gemv":
+        theta = lambda x, r: Q[r] @ x + sign(x[r]) * x[r] ** 2
+        g_grad = lambda x: W * (Q @ x + sign(x))[:, None]
+    elif body == "einsum":
+        theta = lambda x, r: np.einsum("ij,j->i", Q[r], np.sin(x)) + sign(x[r])
+        g_grad = lambda x: np.einsum("ik,i->ik", W, np.cos(x) + sign(x))
+    else:
+        theta = lambda x, r: x[r] * (x @ x) + sign(x[r])
+        g_grad = lambda x: W * (x @ x) + sign(x)[:, None]
+    if form == "float32":
+        to_form = lambda out: out.astype(np.float32)
+    elif form == "fortran":
+        to_form = lambda out: (
+            np.asfortranarray(out) if out.ndim == 2 else np.column_stack([out, out])[:, 0]
+        )
+    else:
+        to_form = lambda out: out
+    grads = [lambda x, r=r: to_form(theta(x, r)) for r in (slice(0, n // 2), slice(n // 2, n))]
+    g = lambda x: to_form(g_grad(x))
+    if form == "same":
+        # Constant gradients, handed out as one object on every call.
+        at = np.linspace(-1.0, 1.0, n)
+        grads = [lambda x, out=f(at): out for f in grads]
+        g = lambda x, out=g(at): out
+    dims = [n // 2, n - n // 2] if n > 1 else [n]
+    gb = ConstraintBundle(count=count, value=lambda x: np.zeros(count), grad=g)
+    players = [PlayerSpec(d, ObjectiveBundle(value=lambda x: 0.0, grad=f), g=gb)
+               for d, f in zip(dims, grads[-len(dims):])]
+    return GnepProblem(players)
+
+
+def wide_point(n, rng):
+    """Point with entries of magnitude 1e-6 to 1e6, both signs, and ``-0.0`` entries."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    x[rng.random(n) < 0.3] = -0.0
+    x[0] = -0.0
+    return x
+
+
 def per_call_fd_hess(problem, kind, nu, x, grad_x=None):
     """Reference: forward differences with one checked gradient call per coordinate."""
     x = problem.point(x)
@@ -255,6 +306,71 @@ class TestHessianFallback:
                 hess = getattr(prob, f"{kind}_hess")(nu, x, grad_x)
                 assert hess.flags.c_contiguous
                 assert np.array_equal(hess, per_call_fd_hess(prob, kind, nu, x, grad_x))
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 129])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("body", ["gemv", "einsum", "dot"])
+    @pytest.mark.parametrize("form", ["array", "float32", "fortran", "same"])
+    def test_bit_identical_to_per_call_loop_on_blas_callbacks(self, n, count, body, form):
+        prob = blas_fd_game(n, count, body, form, seed=n * count)
+        x = wide_point(n, np.random.default_rng([n, count]))
+        for nu in range(prob.num_players):
+            for kind in FD_OUT:
+                grad_x = getattr(prob, f"{kind}_grad")(nu, x)
+                ref = per_call_fd_hess(prob, kind, nu, x)
+                for given in (None, grad_x):
+                    hess = getattr(prob, f"{kind}_hess")(nu, x, given)
+                    assert hess.flags.c_contiguous
+                    assert hess.shape == ref.shape and hess.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    def test_callback_writing_into_its_argument(self, kind, rng):
+        def scribbling(z):
+            out = np.sin(z[2:5]) * (z @ z) if kind == "theta" else np.outer(np.cos(z), [1.0, z[4]])
+            z[:] = np.nan
+            return out
+
+        prob = with_player1_grad(kind, scribbling)
+        x = rng.standard_normal(FD_N)
+        x_before = x.copy()
+        grad_x = getattr(prob, f"{kind}_grad")(1, x.copy())
+        hess = getattr(prob, f"{kind}_hess")(1, x, grad_x)
+        assert np.array_equal(x, x_before)
+        assert hess.tobytes() == per_call_fd_hess(prob, kind, 1, x, grad_x).tobytes()
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    @pytest.mark.parametrize("bad", [
+        {0: "short"}, {2: "list"}, {4: "scalar"}, {1: "axis", 3: "short"},
+        dict.fromkeys(range(FD_N), "short"),
+    ])
+    def test_bad_outputs_raise_the_checked_error_of_the_first(self, kind, bad):
+        good = np.ones(FD_OUT[kind])
+        wrong = {"short": good[:-1], "axis": good[None], "scalar": 1.0,
+                 "list": good.tolist() + good.tolist()[:1]}
+        outs = {j: wrong[w] for j, w in bad.items()}
+        calls = iter(range(FD_N))
+        prob = with_player1_grad(kind, lambda z: outs.get(next(calls), good))
+        with pytest.raises(ProblemError) as expected:
+            prob._checked(outs[min(bad)], FD_OUT[kind], 1, f"{kind}.grad")
+        with pytest.raises(ProblemError) as raised:
+            getattr(prob, f"{kind}_hess")(1, np.zeros(FD_N), good)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind", FD_OUT)
+    @pytest.mark.parametrize("j", range(FD_N))
+    def test_raising_callback_stops_at_its_coordinate(self, kind, j):
+        calls = []
+
+        def failing(z):
+            calls.append(z)
+            if len(calls) == j + 1:
+                raise ArithmeticError(f"domain error at coordinate {j}")
+            return np.zeros(FD_OUT[kind])
+
+        prob = with_player1_grad(kind, failing)
+        with pytest.raises(ArithmeticError, match=f"coordinate {j}$"):
+            getattr(prob, f"{kind}_hess")(1, np.zeros(FD_N), np.zeros(FD_OUT[kind]))
+        assert len(calls) == j + 1
 
     @pytest.mark.parametrize("kind", FD_OUT)
     def test_callback_sees_fresh_perturbed_copies(self, kind, rng):

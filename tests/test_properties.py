@@ -1,5 +1,7 @@
 """Property tests over generated games and generated problem files."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,36 @@ def test_monotone_budget_games_are_solved(size, seed, shift):
         assert report.status is Status.SOLVED_KKT
         verdict = diagnose(prob, report.x, report.multipliers)
         assert verdict.classification is PointClass.FEASIBLE_KKT
+
+
+def without_hessians(prob):
+    """The same game with every ``hess`` callback dropped (forward differences instead)."""
+    players = [
+        replace(spec, objective=replace(spec.objective, hess=None), g=replace(spec.g, hess=None))
+        for spec in prob.players
+    ]
+    return GnepProblem(players, shared_constraints=prob.shared_constraints)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(sizes, seeds, st.floats(0.0, 3.0))
+def test_hessian_free_games_reach_the_analytic_solution(size, seed, shift):
+    N, d = size
+    n = N * d
+    a = np.random.default_rng([seed, 1]).standard_normal(n)
+    budgets = linear_constraints(np.column_stack([np.ones(n), a]), np.array([1.0, 2.0]))
+    analytic = monotone_game(N, d, seed, shift, budgets)
+    for method in (solve, solve_variational):
+        xs = []
+        for prob in (analytic, without_hessians(analytic)):
+            report = method(prob, np.zeros(n))
+            assert report.status is Status.SOLVED_KKT, report.message
+            verdict = diagnose(prob, report.x, report.multipliers)
+            assert verdict.classification is PointClass.FEASIBLE_KKT
+            xs.append(report.x)
+        if method is solve_variational:
+            # The variational equilibrium of a strongly monotone game is unique.
+            np.testing.assert_allclose(xs[1], xs[0], rtol=0, atol=1e-9)
 
 
 @settings(PROPERTY, max_examples=12)
