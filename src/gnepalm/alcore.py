@@ -121,6 +121,7 @@ def generalized_jacobian(
     problem: GnepProblem,
     x: np.ndarray | Evaluation,
     state: PenaltyState,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One element of the generalized Jacobian of :func:`assemble_F`.
 
@@ -133,12 +134,23 @@ def generalized_jacobian(
     ``u_i + rho*g_i > 0``.  A constraint sitting exactly on the activity
     boundary adds no rank-one term, which keeps the element closest to the
     smooth-interior one.  The result is square and in general nonsymmetric.
+
+    With ``out`` (a float array of shape ``(n, n)``, else ``ValueError``)
+    the element is written into ``out``, which is returned.  Every row block
+    is assigned before anything is added to it, so the old content of
+    ``out`` is never read.
     """
     ev = Evaluation.of(problem, x, state.shared)
     n = problem.n
-    V = np.empty((n, n))
+    if out is None:
+        V = np.empty((n, n))
+    elif out.shape != (n, n) or out.dtype != np.float64:
+        raise ValueError(f"out is {out.dtype} of shape {out.shape}, expected float64 ({n}, {n})")
+    else:
+        V = out
     # A shared state gives every player of a slot the same g, rho and u, so
-    # the slot's (rho, G[:, active], s) is worked out once; otherwise per player.
+    # the slot's (rho, G[:, active], its contiguous transpose, s) is worked out
+    # once; otherwise per player.
     terms: dict = {}
     for nu in range(problem.num_players):
         rows = problem.block_slice(nu)
@@ -153,10 +165,14 @@ def generalized_jacobian(
             active = t > 0.0
             s = np.maximum(0.0, t)
             Ga = ev.g_grad[nu][:, active] if active.any() else None
-            terms[key] = (rho, Ga, s if s.any() else None)
-        rho, Ga, s = terms[key]
+            GaT = None if Ga is None else np.ascontiguousarray(Ga.T)
+            terms[key] = (rho, Ga, GaT, s if s.any() else None)
+        rho, Ga, GaT, s = terms[key]
         if Ga is not None:
-            V[rows, :] += rho * (Ga[rows] @ Ga.T)
+            # rho * (Ga[rows] @ Ga.T) bit for bit, through BLAS without matmul's overhead.
+            P = np.dot(Ga[rows], GaT)
+            P *= rho
+            V[rows, :] += P
         if s is not None:
             # In variational mode ev.g_grad[nu] is player 0's, not player nu's.
             G_x = ev.g_grad[nu] if ev.slot[nu] == nu else None

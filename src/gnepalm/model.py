@@ -7,7 +7,9 @@ penalizes.  Constraints kept out of the penalty would need a constrained
 inner solver, which gnepalm does not have, so there is no such group.
 All callbacks receive the full joint vector and return plain arrays whose
 shapes and finiteness are checked; an :class:`Evaluation` keeps the checked
-first-order data of one point for every consumer of that point.
+first-order data of one point for every consumer of that point.  A callback
+that raises an ``ArithmeticError`` or ``ValueError`` (a domain error at a
+trial point, say) surfaces as :class:`EvaluationError`, chained to it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,20 @@ class ProblemError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A callback produced non-finite output at an evaluation point."""
+    """A callback produced non-finite output, or failed, at an evaluation point."""
+
+
+def _invoke(nu: int, label: str, fn, arg):
+    """``fn(arg)``; an arithmetic or value error it raises becomes :class:`EvaluationError`.
+
+    A :class:`ProblemError` passes unchanged, and warnings are not caught.
+    """
+    try:
+        return fn(arg)
+    except ProblemError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"player {nu}: callback '{label}' raised {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -210,7 +225,7 @@ class GnepProblem:
     def theta(self, nu: int, x: np.ndarray) -> float:
         self._check_player(nu)
         x = self.point(x)
-        out = np.asarray(self.players[nu].objective.value(x), dtype=float)
+        out = np.asarray(_invoke(nu, "theta", self.players[nu].objective.value, x), dtype=float)
         if out.size != 1:
             raise ProblemError(f"player {nu}: callback 'theta' must return a scalar")
         val = float(out.reshape(-1)[0])
@@ -222,7 +237,8 @@ class GnepProblem:
         self._check_player(nu)
         x = self.point(x)
         dim = self.players[nu].dim
-        return self._checked(self.players[nu].objective.grad(x), (dim,), nu, "theta.grad")
+        out = _invoke(nu, "theta.grad", self.players[nu].objective.grad, x)
+        return self._checked(out, (dim,), nu, "theta.grad")
 
     def theta_hess(self, nu: int, x: np.ndarray, grad_x: np.ndarray | None = None) -> np.ndarray:
         """Row block of the second derivative of the objective, shape (dim, n).
@@ -247,14 +263,16 @@ class GnepProblem:
         # in coordinate order; the outputs are stacked after the last call.
         x = self.point(x)
         if bundle.hess is not None:
-            return self._checked(bundle.hess(x), shape, nu, f"{label}.hess")
+            label = f"{label}.hess"
+            return self._checked(_invoke(nu, label, bundle.hess, x), shape, nu, label)
         if base is None:
             base = grad(nu, x)
         label = f"{label}.grad"
         n = self.n
         points = np.repeat(x[None, :], n, axis=0)
         points.flat[:: n + 1] += FD_HESS_STEP
-        outs = list(map(bundle.grad, points))
+        # One guarded call drains the whole map, so no row pays for its own.
+        outs = _invoke(nu, label, list, map(bundle.grad, points))
         try:
             block = np.array(outs, dtype=float)
         except (TypeError, ValueError):  # ragged or non-numeric outputs
@@ -274,7 +292,7 @@ class GnepProblem:
         bundle = self.players[nu].g
         if bundle is None or bundle.count == 0:
             return np.zeros(0)
-        return self._checked(bundle.value(x), (bundle.count,), nu, "g")
+        return self._checked(_invoke(nu, "g", bundle.value, x), (bundle.count,), nu, "g")
 
     def g_grad(self, nu: int, x: np.ndarray) -> np.ndarray:
         self._check_player(nu)
@@ -282,7 +300,8 @@ class GnepProblem:
         bundle = self.players[nu].g
         if bundle is None or bundle.count == 0:
             return np.zeros((self.n, 0))
-        return self._checked(bundle.grad(x), (self.n, bundle.count), nu, "g.grad")
+        out = _invoke(nu, "g.grad", bundle.grad, x)
+        return self._checked(out, (self.n, bundle.count), nu, "g.grad")
 
     def g_hess(self, nu: int, x: np.ndarray, grad_x: np.ndarray | None = None) -> np.ndarray:
         """Stacked per-constraint row blocks, shape (count, dim, n).

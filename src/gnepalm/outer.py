@@ -274,13 +274,23 @@ def _vmeasure(ev: Evaluation, lam: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _default_subsolver(at=None):
-    """Damped Newton-type subsolver; ``at`` is the solve's :func:`evaluator`."""
+    """Damped Newton-type subsolver; ``at`` is the solve's :func:`evaluator`.
+
+    Every Jacobian is written into one n×n array, made on the first run and
+    again when ``n`` changes: ``lm_solve`` reads a Jacobian only until it
+    asks for the next one.
+    """
+    V = None
 
     def run(problem: GnepProblem, state: PenaltyState, x_start: np.ndarray, tol: float) -> LmResult:
+        nonlocal V
+        if V is None or V.shape[0] != problem.n:
+            V = np.empty((problem.n, problem.n))
+        out = V
         point = at or evaluator(problem, state.shared)
         system = SemismoothSystem(
             residual=lambda x: assemble_F(problem, point(x), state),
-            jacobian=lambda x: generalized_jacobian(problem, point(x), state),
+            jacobian=lambda x: generalized_jacobian(problem, point(x), state, out=out),
         )
         try:
             return lm_solve(system, x_start, LmConfig(eps=tol))

@@ -214,9 +214,34 @@ class TestGeneralizedJacobian:
         # The exactly-zero component is treated as inactive: no rank-one term.
         np.testing.assert_array_equal(generalized_jacobian(prob, x, state), [[0.0]])
 
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("mode", ["variational", "general"])
+    def test_out_prefilled_with_nan_gets_the_fresh_element(self, analytic, mode):
+        prob, x = quadratic_budget_game((3, 1, 4, 2), TARGETS["two_active"], analytic, "C",
+                                        Counter())
+        state = budget_state(prob, x, "two_active", mode)
+        out = np.full((prob.n, prob.n), np.nan)
+        V = generalized_jacobian(prob, x, state, out=out)
+        assert V is out
+        assert np.array_equal(V, generalized_jacobian(prob, x, state))
+
+    @pytest.mark.parametrize("out", [np.empty((2, 3)), np.empty((3, 3)), np.empty(4),
+                                     np.empty((2, 2), dtype=np.float32)])
+    def test_out_of_another_shape_or_dtype_raises(self, duopoly, out):
+        state = make_state(duopoly, u_value=0.4, rho=2.0)
+        with pytest.raises(ValueError, match="out is"):
+            generalized_jacobian(duopoly, np.zeros(2), state, out=out)
+
 
 def reference_jacobian(problem, x, state):
-    """The generalized Jacobian as the per-player loop with np.tensordot built it."""
+    """The generalized Jacobian as the per-player loop with np.tensordot built it.
+
+    The rank-one term is the product ``Ga[rows] @ Ga.T`` of the column
+    selection ``Ga``, which is Fortran-ordered.  The older form
+    ``G[rows, :][:, active] @ G[:, active].T`` multiplies a contiguous copy
+    of the rows, so for a one-coordinate player with two or more active
+    constraints BLAS takes another path and the last bits can differ.
+    """
     ev = Evaluation.of(problem, x, state.shared)
     n = problem.n
     V = np.empty((n, n))
@@ -230,8 +255,8 @@ def reference_jacobian(problem, x, state):
         t = state.u_of(nu) + rho * g
         active = t > 0.0
         if active.any():
-            G = ev.g_grad[nu]
-            V[rows, :] += rho * (G[rows, :][:, active] @ G[:, active].T)
+            Ga = ev.g_grad[nu][:, active]
+            V[rows, :] += rho * (Ga[rows] @ Ga.T)
         s = np.maximum(0.0, t)
         if s.any():
             G_x = ev.g_grad[nu] if ev.slot[nu] == nu else None
@@ -281,39 +306,66 @@ def quadratic_budget_game(dims, targets, analytic, layout, calls, seed=7):
     return GnepProblem(players, shared_constraints=True), x
 
 
-class TestJacobianBitIdentity:
-    RHOS = (10.0, 0.3, 3.0, 1e3)
+def budget_state(prob, x, point, mode, rhos=(10.0, 0.3, 3.0, 1e3)):
+    """Penalty state of ``quadratic_budget_game`` at ``x`` for a ``TARGETS`` point.
 
-    @pytest.mark.parametrize("mode", ["variational", "general", "shared_evaluation_general_state"])
-    @pytest.mark.parametrize("point", ["mixed", "mostly_inactive"])
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("analytic", [True, False])
-    @pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 4, 2)])
-    def test_matches_the_per_player_loop(self, dims, analytic, layout, point, mode):
-        # Constraint 0 is violated ("mixed") or slack; constraint 1 sits exactly
-        # on the activity boundary u + rho*g = 0; constraint 2 is inactive.
-        targets = (0.7, -0.5, -2.0) if point == "mixed" else (-0.3, -0.5, -2.0)
-        calls: Counter = Counter()
-        prob, x = quadratic_budget_game(dims, targets, analytic, layout, calls)
-        g = prob.g_val(0, x)
+    Constraint 1 sits exactly on the activity boundary u + rho*g = 0 except
+    at "three_active", where all three constraints are violated.
+    """
+    g = prob.g_val(0, x)
 
-        def u_for(nu, rho):
-            u = np.zeros(len(targets))
+    def u_for(nu, rho):
+        u = np.zeros(g.size)
+        if point != "three_active":
             u[1] = -(rho * g[1])
             assert u[1] + rho * g[1] == 0.0
-            if point == "mixed":
-                u[0] = 0.3
-            elif nu % 2:
-                u[0] = 0.25 - rho * g[0]  # odd players' slots are active, even ones' are not
-            return u
+        if point != "mostly_inactive":
+            u[0] = 0.3
+        elif nu % 2:
+            u[0] = 0.25 - rho * g[0]  # odd players' slots are active, even ones' are not
+        return u
 
-        N = len(dims)
-        if mode == "variational":
-            state = PenaltyState(u=[u_for(0, 10.0)], rho=[10.0], u_max=1e6, shared=True)
-        else:
-            rhos = self.RHOS[:N]
-            state = PenaltyState(u=[u_for(nu, r) for nu, r in enumerate(rhos)],
-                                 rho=list(rhos), u_max=1e6)
+    if mode == "variational":
+        return PenaltyState(u=[u_for(0, 10.0)], rho=[10.0], u_max=1e6, shared=True)
+    rhos = rhos[: prob.num_players]
+    return PenaltyState(u=[u_for(nu, r) for nu, r in enumerate(rhos)],
+                        rho=list(rhos), u_max=1e6)
+
+
+# Constraint values at the test point: constraint 0 is violated or slack,
+# constraint 2 inactive or violated; with budget_state, 0 to 3 of them are active.
+TARGETS = {
+    "mixed": (0.7, -0.5, -2.0),
+    "mostly_inactive": (-0.3, -0.5, -2.0),
+    "two_active": (0.7, -0.5, 0.4),
+    "three_active": (0.7, 0.2, 0.4),
+}
+MODES = ["variational", "general", "shared_evaluation_general_state"]
+
+
+class TestJacobianBitIdentity:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("point", list(TARGETS))
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 4, 2), (5,)])
+    def test_matches_the_per_player_loop(self, dims, analytic, layout, point, mode):
+        self.check(dims, analytic, layout, point, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("point", ["mixed", "three_active"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_matches_the_per_player_loop_at_n_131(self, layout, point, mode):
+        # One game wider than 128 columns, far larger than the games above.
+        self.check((40, 50, 41), True, layout, point, mode)
+
+    @staticmethod
+    def check(dims, analytic, layout, point, mode):
+        calls: Counter = Counter()
+        prob, x = quadratic_budget_game(dims, TARGETS[point], analytic, layout, calls)
+        state = budget_state(prob, x, point, mode)
+        if point == "three_active":
+            assert all((u + r * prob.g_val(0, x) > 0).all() for u, r in zip(state.u, state.rho))
         # A shared-layout Evaluation read with per-player rho and u.
         at = Evaluation(prob, x, shared=True) if mode.startswith("shared") else x
         calls.clear()

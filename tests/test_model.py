@@ -108,6 +108,56 @@ class TestContracts:
             GnepProblem([PlayerSpec(1, obj)], x0_presets={"bad": [0.0, 1.0]})
 
 
+# Callback label -> (bundle, field, GnepProblem method that calls it).
+CALLBACKS = {
+    "theta": ("objective", "value", "theta"),
+    "theta.grad": ("objective", "grad", "theta_grad"),
+    "theta.hess": ("objective", "hess", "theta_hess"),
+    "g": ("g", "value", "g_val"),
+    "g.grad": ("g", "grad", "g_grad"),
+    "g.hess": ("g", "hess", "g_hess"),
+}
+
+
+def call_raising(label, exc):
+    """Call ``label`` of a one-player game whose ``label`` callback raises ``exc``."""
+
+    def raising(x):
+        raise exc
+
+    bundles = {
+        "objective": dict(value=lambda x: 0.0, grad=lambda x: np.zeros(1),
+                          hess=lambda x: np.zeros((1, 1))),
+        "g": dict(count=1, value=lambda x: np.zeros(1), grad=lambda x: np.zeros((1, 1)),
+                  hess=lambda x: np.zeros((1, 1, 1))),
+    }
+    kind, field, method = CALLBACKS[label]
+    bundles[kind][field] = raising
+    spec = PlayerSpec(1, ObjectiveBundle(**bundles["objective"]),
+                      g=ConstraintBundle(**bundles["g"]))
+    getattr(GnepProblem([spec]), method)(0, np.ones(1))
+
+
+class TestRaisingCallbacks:
+    @pytest.mark.parametrize("exc", [ValueError("math domain error"), ZeroDivisionError(),
+                                     OverflowError(), FloatingPointError()])
+    @pytest.mark.parametrize("label", CALLBACKS)
+    def test_arithmetic_and_value_errors_become_evaluation_errors(self, label, exc):
+        message = f"player 0: callback '{label}' raised"
+        with pytest.raises(EvaluationError, match=message) as raised:
+            call_raising(label, exc)
+        assert raised.value.__cause__ is exc
+
+    # A RuntimeWarning is what numpy raises under the error::RuntimeWarning filter.
+    @pytest.mark.parametrize("exc", [ProblemError("bad"), TypeError("bad"),
+                                     RuntimeWarning("bad")])
+    @pytest.mark.parametrize("label", CALLBACKS)
+    def test_other_exceptions_and_warnings_pass_unchanged(self, label, exc):
+        with pytest.raises(type(exc)) as raised:
+            call_raising(label, exc)
+        assert raised.value is exc
+
+
 class TestValidateProblem:
     def test_simple_quadratic_passes(self):
         obj = ObjectiveBundle(value=lambda x: x[0] ** 2, grad=lambda x: np.array([2 * x[0]]))
@@ -368,8 +418,11 @@ class TestHessianFallback:
             return np.zeros(FD_OUT[kind])
 
         prob = with_player1_grad(kind, failing)
-        with pytest.raises(ArithmeticError, match=f"coordinate {j}$"):
+        message = f"player 1: callback '{kind}.grad' raised"
+        with pytest.raises(EvaluationError, match=message) as raised:
             getattr(prob, f"{kind}_hess")(1, np.zeros(FD_N), np.zeros(FD_OUT[kind]))
+        assert type(raised.value.__cause__) is ArithmeticError
+        assert str(raised.value.__cause__) == f"domain error at coordinate {j}"
         assert len(calls) == j + 1
 
     @pytest.mark.parametrize("kind", FD_OUT)

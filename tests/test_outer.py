@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -6,12 +7,13 @@ import pytest
 
 from conftest import make_state, single_player
 
-from gnepalm import cli, problems
+from gnepalm import cli, outer, problems
 from gnepalm.alcore import PenaltyState, generalized_jacobian
 from gnepalm.diagnostics import PointClass, diagnose
 from gnepalm.model import (
     FD_HESS_STEP,
     ConstraintBundle,
+    EvaluationError,
     GnepProblem,
     ObjectiveBundle,
     PlayerSpec,
@@ -31,6 +33,7 @@ from gnepalm.outer import (
     update_penalty,
     update_safeguard,
 )
+from gnepalm.outer import _default_subsolver
 from gnepalm.subsolver import LmResult, LmStatus
 
 
@@ -320,8 +323,6 @@ class TestSubsolverInterface:
     def test_custom_subsolver_is_used(self, duopoly):
         calls = []
 
-        from gnepalm.outer import _default_subsolver
-
         base = _default_subsolver()
 
         def counting(problem, state, x_start, tol):
@@ -369,8 +370,6 @@ class TestSubsolverInterface:
         assert "(safeguard_stop) with residual inf" in report.message
 
     def test_soft_failure_accepted_within_slack(self, duopoly):
-        from gnepalm.outer import _default_subsolver
-
         base = _default_subsolver()
 
         def degraded(problem, state, x_start, tol):
@@ -384,6 +383,40 @@ class TestSubsolverInterface:
 
         report = solve(duopoly, np.zeros(2), OuterConfig(eps=1e-5), subsolver=degraded)
         assert report.status is Status.SOLVED_KKT
+
+
+class TestJacobianBuffer:
+    @pytest.mark.parametrize("run", [solve, solve_variational])
+    def test_one_jacobian_array_per_solve(self, run, monkeypatch):
+        prob = quadratic_budget_game()
+        returned = []
+
+        def recording(*args, original=outer.generalized_jacobian, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(outer, "generalized_jacobian", recording)
+        first = run(prob, np.zeros(prob.n))
+        per_solve = len(returned)
+        second = run(prob, np.zeros(prob.n))
+        assert first.status is second.status is Status.SOLVED_KKT
+        assert np.array_equal(first.x, second.x)
+        assert per_solve > 1 and len(returned) == 2 * per_solve
+        assert all(V is returned[0] for V in returned[:per_solve])
+        assert all(V is returned[per_solve] for V in returned[per_solve:])
+        assert returned[per_solve] is not returned[0]
+
+    def test_subsolver_reused_across_game_sizes(self):
+        run = _default_subsolver()
+        for name in ("duopoly_shared", "quad3", "duopoly_shared"):
+            prob = problems.by_name(name)
+            state = make_state(prob, u_value=0.4, rho=2.0)
+            x0 = prob.x0_presets["ones"]
+            got = run(prob, state, x0, 1e-10)
+            fresh = _default_subsolver()(prob, state, x0, 1e-10)
+            assert got.status is fresh.status is LmStatus.CONVERGED
+            assert np.array_equal(got.x, fresh.x) and got.iterations == fresh.iterations
+            assert got.final_residual == fresh.final_residual
 
 
 class TestConfigValidation:
@@ -605,6 +638,28 @@ class TestFailedTrialPoint:
             report = solve(prob, np.array([x0]))
         assert report.status is Status.SOLVED_KKT
         assert abs(report.x[0] - 1.0) <= 1e-8
+
+    @staticmethod
+    def math_log_game():
+        # theta = x log x - 3x with math.log, which raises outside x > 0;
+        # its minimizer is x = e^2
+        obj = ObjectiveBundle(
+            value=lambda x: x[0] * math.log(x[0]) - 3.0 * x[0],
+            grad=lambda x: np.array([math.log(x[0]) - 2.0]),
+            hess=lambda x: np.array([[1.0 / x[0]]]),
+        )
+        return GnepProblem([PlayerSpec(1, obj)])
+
+    @pytest.mark.parametrize("x0", [0.05, 5.0, 50.0, 500.0])
+    def test_raising_callback_at_trial_point_is_rejected_step(self, x0):
+        report = solve(self.math_log_game(), np.array([x0]))
+        assert report.status is Status.SOLVED_KKT
+        assert abs(report.x[0] - math.e**2) <= 1e-8
+
+    def test_raising_callback_at_start_point_raises(self):
+        with pytest.raises(EvaluationError, match="callback 'theta.grad' raised") as raised:
+            solve(self.math_log_game(), np.array([-1.0]))
+        assert type(raised.value.__cause__) is ValueError
 
     def test_failed_factorization_is_rejected_step(self):
         # x1 + x2 <= 0 and x1 + x2 >= 1 contradict: rho grows to about 1e10,

@@ -8,21 +8,24 @@ Each revision is exported, as committed, with ``git archive`` into a
 temporary directory, which is removed at the end; nothing is registered in
 the repository, and uncommitted changes are not seen.  For each exported
 tree and for seeds 1 and 2, a subprocess of this script
-(``--list --tree DIR --seed N``) imports that tree's ``src/`` and
-``bench/workloads.py``, runs every unit of the three workloads once and
-prints ``label sha1`` per unit, the digest taken over the unit's
+(``--list --tree DIR --seed N --workload W ...``) imports that tree's
+``src/`` and ``bench/workloads.py``, runs every unit of the listed workloads
+once and prints ``label sha1`` per unit, the digest taken over the unit's
 ``Outcome.fingerprint`` (report and trace bytes for a CLI unit; status,
 ``x``, per-record x/rho/residuals and final multipliers for a library
-unit).  The script prints the units that differ and ``k/60 equal``, and
-exits nonzero on any difference.
+unit).  ``catalog_cli`` is listed for seed 1 only: the seed merely shuffles
+the order of its 20 units, so seed 2 would repeat them.  The script prints
+the units that differ and ``k/40 equal``, and exits nonzero on any
+difference.
 
 Fingerprints depend on the machine (OpenBLAS picks its kernels by CPU), so
 no golden file is kept: compare two revisions on the same machine.  Equal
 fingerprints are evidence, not proof: every bench constraint gradient is
 all ones and every rho a power of ten, so a reassociation inside
-``alcore`` (for example ``(rho * Ga[rows]) @ Ga.T`` in place of
-``rho * (Ga[rows] @ Ga.T)``) rounds alike on these units and is not seen.
-Such changes need a reference test with general data as well.
+``alcore`` (for example folding rho into ``Ga`` before the rank-one
+product ``Ga[rows] @ Ga.T``) rounds alike on these units and is not seen,
+and so does any rank-one term with more than one active constraint, which
+no unit has.  Such changes need a reference test with general data as well.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("catalog_cli", "dense400", "fd_ring50")
-SEEDS = (1, 2)
+# (seed, workloads listed for it); catalog_cli's units do not depend on the seed.
+PLAN = ((1, WORKLOADS), (2, ("dense400", "fd_ring50")))
 # The benchmark's BLAS pinning: thread counts can change the rounding.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -72,28 +76,32 @@ def export(rev: str, dest: Path) -> None:
             raise SystemExit(f"git archive {rev} failed")
 
 
-def fingerprints(tree: Path, seed: int) -> dict[str, str]:
+def fingerprints(tree: Path, seed: int, workloads: tuple[str, ...]) -> dict[str, str]:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--list",
            "--tree", str(tree), "--seed", str(seed)]
+    for workload in workloads:
+        cmd += ["--workload", workload]
     listing = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout
     return dict(line.rsplit(" ", 1) for line in listing.splitlines())
 
 
+def resolve(rev: str) -> str:
+    """The full hash of the commit ``rev`` names."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+
+
 def compare(rev_a: str, rev_b: str) -> int:
     """Print the units whose fingerprints differ and ``k/total equal``; 1 if any differ."""
-    commits = [
-        subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                       stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
-        for rev in (rev_a, rev_b)
-    ]
+    commits = [resolve(rev) for rev in (rev_a, rev_b)]
     with tempfile.TemporaryDirectory(prefix="gnepalm-identity-") as tmp:
         trees = [Path(tmp) / name for name in ("a", "b")]
         for commit, tree in zip(commits, trees):
             tree.mkdir()
             export(commit, tree)
         equal = total = 0
-        for seed in SEEDS:
-            a, b = (fingerprints(tree, seed) for tree in trees)
+        for seed, workloads in PLAN:
+            a, b = (fingerprints(tree, seed, workloads) for tree in trees)
             for label in sorted(a.keys() | b.keys()):
                 total += 1
                 if label in a and a.get(label) == b.get(label):
